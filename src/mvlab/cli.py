@@ -37,8 +37,8 @@ from .errors import (
     UsageError,
 )
 from .simulation import (
-    _format_interval,
     default_scenarios,
+    format_interval,
     load_scenario_config,
     run_scenario,
     scenario_config_text,
@@ -253,6 +253,8 @@ def cmd_simulate(args) -> int:
             handle.write(text)
         print(f"wrote default scenario config to {args.emit_default_config}")
         return EXIT_OK
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.config:
         scenarios = load_scenario_config(
             args.config, seed_override=args.seed, paper_scale=args.paper_scale
@@ -286,9 +288,9 @@ def cmd_simulate(args) -> int:
                 (
                     spec.scenario_id,
                     spec.family.value,
-                    _format_interval(spec.mean_ratio),
-                    _format_interval(spec.std_ratio),
-                    _format_interval(spec.skew_ratio),
+                    format_interval(spec.mean_ratio),
+                    format_interval(spec.std_ratio),
+                    format_interval(spec.skew_ratio),
                     uid,
                     utility.a,
                     report.success_pct[uid],

@@ -142,6 +142,12 @@ class MomentTarget:
     skewness: float | None = None
 
     def __post_init__(self):
+        for name in ("mean", "std", "skewness"):
+            value = getattr(self, name)
+            _require(
+                value is None or math.isfinite(value),
+                f"target {name} must be finite, got {value}",
+            )
         _require(self.std > 0, f"target std must be > 0, got {self.std}")
 
 

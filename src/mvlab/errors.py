@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all mvlab modules.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES) so scripted
-callers can tell usage mistakes from data problems from generation
-failures.
+Each class maps to one CLI exit code (see the ``EXIT_*`` constants in
+``mvlab.cli``) so scripted callers can tell usage mistakes from data
+problems from generation failures.
 """
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -72,8 +73,10 @@ def _as_interval(value) -> Interval:
     if value is None:
         raise ParameterError("ratio must not be None")
     if isinstance(value, (int, float)):
-        return (float(value), float(value))
+        value = (value, value)
     lo, hi = float(value[0]), float(value[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"ratio bounds must be finite, got {lo}, {hi}")
     if hi < lo:
         raise ParameterError(f"interval upper bound {hi} below lower bound {lo}")
     return (lo, hi)
@@ -84,7 +87,7 @@ def _draw(interval: Interval, rng: np.random.Generator) -> float:
     return lo if lo == hi else float(rng.uniform(lo, hi))
 
 
-def _format_interval(interval: Interval | None) -> str:
+def format_interval(interval: Interval | None) -> str:
     if interval is None:
         return ""
     lo, hi = interval
@@ -143,7 +146,6 @@ class PairOutcome:
     sample_moments_1: MomentSummary
     sample_moments_2: MomentSummary
     per_utility_agreement: dict[str, bool]
-    clamped_fraction: float
 
 
 @dataclass(frozen=True)
@@ -186,11 +188,11 @@ def _attempt_solvable(spec: ScenarioSpec, pair_index: int, attempt: int):
     z2 = sample_with_rng(
         params_2, spec.n_obs, spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt)
     )
-    return z1, z2
+    return z1, z2, moments(z1), moments(z2)
 
 
 def _attempt_stable(spec: ScenarioSpec, pair_index: int, attempt: int):
-    """One stable candidate, or None when rejected.
+    """One stable candidate (z1, z2, m1, m2), or None when rejected.
 
     Standardized noise is drawn for both lotteries, then location/scale
     are set from realized sample moments so the mean and std ratios land
@@ -214,8 +216,9 @@ def _attempt_stable(spec: ScenarioSpec, pair_index: int, attempt: int):
         spec.n_obs,
         spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt),
     )
+    noise_m1 = moments(noise_1)
     if spec.skew_ratio is not None:
-        skew_1 = moments(noise_1).skewness
+        skew_1 = noise_m1.skewness
         skew_2 = moments(noise_2).skewness
         if skew_1 <= 0.0 or skew_2 <= 0.0:
             return None
@@ -225,43 +228,62 @@ def _attempt_stable(spec: ScenarioSpec, pair_index: int, attempt: int):
     scale_2 = spec.base.std / math.sqrt(2.0)
     z2 = spec.base.mean + scale_2 * noise_2
     m2 = moments(z2)
-    if m2.mean <= 0.0 or m2.std == 0.0:
+    if m2.mean <= 0.0 or m2.std == 0.0 or noise_m1.std == 0.0:
         return None
-    std_1_noise = moments(noise_1).std
-    if std_1_noise == 0.0:
-        return None
-    scale_1 = m2.std / (r_std * std_1_noise)
-    location_1 = r_mean * m2.mean - scale_1 * float(np.mean(noise_1))
+    scale_1 = m2.std / (r_std * noise_m1.std)
+    location_1 = r_mean * m2.mean - scale_1 * noise_m1.mean
     z1 = location_1 + scale_1 * noise_1
-    return z1, z2
+    return z1, z2, moments(z1), m2
 
 
-def generate_mv_pair(spec: ScenarioSpec, pair_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The accepted (Z1, Z2) samples for one pair index."""
-    z1, z2, _, _, _ = _generate_accepted(spec, pair_index)
-    return z1, z2
+def _agreement(z1: np.ndarray, z2: np.ndarray, utilities) -> dict[str, bool]:
+    """Per-utility flags E[U(Z1)] >= E[U(Z2)] (ties agree).  Raises
+    DomainError when any utility's clamping budget is exceeded."""
+    agreement: dict[str, bool] = {}
+    for utility in utilities:
+        eu1, _ = sample_expected_utility(z1, utility)
+        eu2, _ = sample_expected_utility(z2, utility)
+        agreement[utility.identifier] = bool(eu1 >= eu2)
+    return agreement
 
 
-def _generate_accepted(spec: ScenarioSpec, pair_index: int, start_attempt: int = 0):
-    """First attempt from ``start_attempt`` whose sample moments satisfy
-    the MV ordering.  Returns (z1, z2, m1, m2, attempt)."""
-    cap = STABLE_ATTEMPT_CAP if spec.family is Family.STABLE else SOLVABLE_ATTEMPT_CAP
-    attempt = start_attempt
-    while attempt < cap:
-        if spec.family is Family.STABLE:
-            candidate = _attempt_stable(spec, pair_index, attempt)
-        else:
-            candidate = _attempt_solvable(spec, pair_index, attempt)
-        if candidate is not None:
-            z1, z2 = candidate
-            m1, m2 = moments(z1), moments(z2)
-            if satisfies_mv(m1, m2):
-                return z1, z2, m1, m2, attempt
-        attempt += 1
+def _accepted_pair(spec: ScenarioSpec, utilities, pair_index: int):
+    """The pair-attempt loop: (z1, z2, agreement, attempt) for the first
+    attempt whose sample moments satisfy the MV ordering and whose samples
+    keep every utility within its clamping budget.  Every rejected attempt
+    (MV miss, stable rejection, clamp breach) advances to a fresh derived
+    attempt, so the accepted index counts the regenerations."""
+    stable = spec.family is Family.STABLE
+    attempt_pair = _attempt_stable if stable else _attempt_solvable
+    cap = STABLE_ATTEMPT_CAP if stable else SOLVABLE_ATTEMPT_CAP
+    for attempt in range(cap):
+        candidate = attempt_pair(spec, pair_index, attempt)
+        if candidate is None:
+            continue
+        z1, z2, m1, m2 = candidate
+        if not satisfies_mv(m1, m2):
+            continue
+        try:
+            agreement = _agreement(z1, z2, utilities)
+        except DomainError:
+            continue
+        return z1, z2, agreement, attempt
     raise GenerationError(
         f"scenario {spec.scenario_id!r}: pair {pair_index} exceeded the "
         f"{cap}-attempt generation cap"
     )
+
+
+def generate_mv_pair(spec: ScenarioSpec, pair_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted (Z1, Z2) samples for one pair index."""
+    z1, z2, _, _ = _accepted_pair(spec, (), pair_index)
+    return z1, z2
+
+
+def _run_pair(spec: ScenarioSpec, utilities: tuple[UtilitySpec, ...], pair_index: int):
+    """(agreement, regenerations) for one pair."""
+    _, _, agreement, attempt = _accepted_pair(spec, utilities, pair_index)
+    return agreement, attempt
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +299,8 @@ def evaluate_pair(
     """Per-utility agreement flags for one MV pair.
 
     Agreement is the weak inequality E[U(Z1)] >= E[U(Z2)] (ties agree).
-    Raises DomainError when any utility's clamping budget is exceeded,
-    which callers treat as a regeneration signal.
+    Raises ParameterError when the pair violates the MV ordering and
+    DomainError when any utility's clamping budget is exceeded.
     """
     z1, z2 = pair
     m1, m2 = moments(z1), moments(z2)
@@ -287,43 +309,11 @@ def evaluate_pair(
             f"pair {pair_index} violates the MV ordering: "
             f"means {m1.mean:.6g}/{m2.mean:.6g}, stds {m1.std:.6g}/{m2.std:.6g}"
         )
-    agreement: dict[str, bool] = {}
-    worst_clamp = 0.0
-    denom = z1.size + z2.size
-    for spec in utilities:
-        eu1, clamped_1 = sample_expected_utility(z1, spec)
-        eu2, clamped_2 = sample_expected_utility(z2, spec)
-        agreement[spec.identifier] = bool(eu1 >= eu2)
-        worst_clamp = max(worst_clamp, (clamped_1 + clamped_2) / denom)
     return PairOutcome(
         pair_index=pair_index,
         sample_moments_1=m1,
         sample_moments_2=m2,
-        per_utility_agreement=agreement,
-        clamped_fraction=worst_clamp,
-    )
-
-
-def _run_pair(spec: ScenarioSpec, utilities: tuple[UtilitySpec, ...], pair_index: int):
-    """(outcome, regenerations) for one pair; retried on MV-ordering
-    misses and on clamping failures, each with a fresh derived attempt."""
-    cap = STABLE_ATTEMPT_CAP if spec.family is Family.STABLE else SOLVABLE_ATTEMPT_CAP
-    attempt = 0
-    regenerations = 0
-    while attempt < cap:
-        z1, z2, _, _, accepted_at = _generate_accepted(spec, pair_index, attempt)
-        regenerations += accepted_at - attempt
-        attempt = accepted_at
-        try:
-            outcome = evaluate_pair((z1, z2), list(utilities), pair_index=pair_index)
-        except DomainError:
-            attempt += 1
-            regenerations += 1
-            continue
-        return outcome, regenerations
-    raise GenerationError(
-        f"scenario {spec.scenario_id!r}: pair {pair_index} exceeded the "
-        f"{cap}-attempt cap during evaluation"
+        per_utility_agreement=_agreement(z1, z2, utilities),
     )
 
 
@@ -337,6 +327,7 @@ def run_scenario(
     The result is bit-identical for a fixed spec regardless of
     ``workers``: pair streams depend only on (master_seed, pair_index,
     attempt) and aggregation is exact integer counting in index order.
+    ``workers`` is capped at the machine's CPU count.
     """
     utilities = list(utilities)
     if not utilities:
@@ -349,6 +340,7 @@ def run_scenario(
         )
     task = partial(_run_pair, spec, tuple(utilities))
     indices = range(spec.n_pairs)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, spec.n_pairs // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -361,15 +353,15 @@ def run_scenario(
     surface_disagreements = (
         spec.family in (Family.NORMAL, Family.LAPLACE) and spec.n_obs >= 100_000
     )
-    for outcome, regens in results:
+    for pair_index, (agreement, regens) in enumerate(results):
         regenerations += regens
-        for uid, agreed in outcome.per_utility_agreement.items():
+        for uid, agreed in agreement.items():
             if agreed:
                 counts[uid] += 1
             elif surface_disagreements:
                 note = (
                     f"symmetric-family disagreement: scenario {spec.scenario_id}, "
-                    f"pair {outcome.pair_index}, utility {uid}"
+                    f"pair {pair_index}, utility {uid}"
                 )
                 diagnostics.append(note)
                 log.warning("%s", note)
@@ -561,10 +553,10 @@ def scenario_config_text(scenarios: list[ScenarioSpec]) -> str:
     for spec in scenarios:
         lines.append(f"[{spec.scenario_id}]")
         lines.append(f"family = {spec.family.value}")
-        lines.append(f"mean_ratio = {_format_interval(spec.mean_ratio)}")
-        lines.append(f"std_ratio = {_format_interval(spec.std_ratio)}")
+        lines.append(f"mean_ratio = {format_interval(spec.mean_ratio)}")
+        lines.append(f"std_ratio = {format_interval(spec.std_ratio)}")
         if spec.skew_ratio is not None:
-            lines.append(f"skew_ratio = {_format_interval(spec.skew_ratio)}")
+            lines.append(f"skew_ratio = {format_interval(spec.skew_ratio)}")
         lines.append(f"base_mean = {spec.base.mean:g}")
         lines.append(f"base_std = {spec.base.std:g}")
         if spec.base.skewness is not None:

@@ -182,6 +182,41 @@ class TestSimulate:
     def test_missing_config_usage_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "none.ini")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("mean_ratio = 1.05", "mean_ratio = nan"),
+            ("std_ratio = 1.05", "std_ratio = 1.01..inf"),
+            ("base_mean = 0.01", "base_mean = nan"),
+            ("base_std = 0.008", "base_std = inf"),
+        ],
+    )
+    def test_non_finite_config_usage_error(self, tmp_path, capsys, old, new):
+        config = _small_config(tmp_path)
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new))
+        assert main(["simulate", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: [normal_small]")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_usage_error(self, tmp_path, capsys, workers):
+        config = _small_config(tmp_path)
+        assert main(["simulate", str(config), "--workers", workers]) == EXIT_USAGE
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+    def test_attempt_cap_generation_error(self, tmp_path, monkeypatch, capsys):
+        from mvlab import simulation
+
+        monkeypatch.setattr(simulation, "SOLVABLE_ATTEMPT_CAP", 2)
+        config = _small_config(tmp_path)
+        # a negative base mean scaled up by mean_ratio: every attempt misses MV
+        config.write_text(config.read_text().replace("base_mean = 0.01", "base_mean = -0.5"))
+        assert main(["simulate", str(config)]) == EXIT_GENERATION
+        assert "2-attempt generation cap" in capsys.readouterr().err
+
 
 class TestDeciles:
     @pytest.fixture

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mvlab import simulation
 from mvlab.distributions import Family, MomentTarget, NormalParams, moments, sample
-from mvlab.errors import ParameterError, UsageError
+from mvlab.errors import GenerationError, ParameterError, UsageError
 from mvlab.simulation import (
     DEFAULT_MASTER_SEED,
     ScenarioSpec,
@@ -36,6 +37,7 @@ def _spec(**overrides):
 
 LOG1 = UtilitySpec(UtilityFamily.LOG, 1.0)
 SQRT = UtilitySpec(UtilityFamily.POWER, 0.5)
+NEG_EXP10 = UtilitySpec(UtilityFamily.NEG_EXP, 10.0)
 
 
 class TestScenarioSpec:
@@ -179,6 +181,89 @@ class TestRunScenario:
         assert report.success_pct["log:1"] * 8 / 100 == int(
             report.success_pct["log:1"] * 8 / 100
         )
+
+
+class TestAttemptLoop:
+    @pytest.mark.parametrize(
+        "base, utilities",
+        [
+            # lottery 1's mean is scaled further below zero: every attempt misses MV
+            (MomentTarget(-0.5, 0.001), [SQRT]),
+            # about 2% of the draws sit below log:1's domain edge: every
+            # attempt breaches the clamping budget
+            (MomentTarget(0.01, 0.5), [LOG1]),
+        ],
+        ids=["mv_miss", "clamp_breach"],
+    )
+    def test_cap_raises_after_exactly_cap_attempts(self, monkeypatch, base, utilities):
+        monkeypatch.setattr(simulation, "SOLVABLE_ATTEMPT_CAP", 3)
+        draws = []
+        sampler = simulation.sample_with_rng
+
+        def counting_sampler(params, n, rng):
+            draws.append(n)
+            return sampler(params, n, rng)
+
+        monkeypatch.setattr(simulation, "sample_with_rng", counting_sampler)
+        with pytest.raises(GenerationError, match="3-attempt"):
+            run_scenario(_spec(base=base, n_obs=1000, n_pairs=2), utilities)
+        assert len(draws) == 2 * 3  # pair 0 only: two lotteries per attempt
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(mean_ratio=1.01, std_ratio=1.01, n_pairs=6),
+            dict(
+                family=Family.STABLE,
+                mean_ratio=(1.01, 1.1),
+                std_ratio=(1.01, 1.1),
+                skew_ratio=(1.5, 3.0),
+                base=MomentTarget(0.01, 0.03, 0.2),
+                n_pairs=6,
+            ),
+        ],
+        ids=["normal", "stable"],
+    )
+    def test_success_matches_public_recount(self, overrides):
+        # neither cell breaches a clamping budget, so each pair run_scenario
+        # scores is the pair generate_mv_pair returns
+        spec = _spec(**overrides)
+        utilities = [LOG1, SQRT, NEG_EXP10]
+        report = run_scenario(spec, utilities)
+        counts = dict.fromkeys((u.identifier for u in utilities), 0)
+        for idx in range(spec.n_pairs):
+            outcome = evaluate_pair(generate_mv_pair(spec, idx), utilities, idx)
+            for uid, agreed in outcome.per_utility_agreement.items():
+                counts[uid] += agreed
+        recount = {uid: 100.0 * n / spec.n_pairs for uid, n in counts.items()}
+        assert report.success_pct == recount
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        created = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor and runs the tasks in-process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+        spec = _spec(n_pairs=3)
+        serial = run_scenario(spec, [LOG1], workers=1)
+        capped = run_scenario(spec, [LOG1], workers=64)
+        assert created == [3]
+        assert capped.success_pct == serial.success_pct
+        assert capped.n_regenerations == serial.n_regenerations
 
 
 class TestMonotonicity:
