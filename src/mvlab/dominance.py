@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MomentSummary
+from .distributions import MomentSummary, central_moments
 from .errors import IngestionError, ParameterError
 
 TOL = 1e-12
@@ -51,6 +51,11 @@ class DominanceVerdict:
     def __post_init__(self):
         if self.relation is Relation.INDISTINGUISHABLE and self.strict:
             raise ParameterError("indistinguishable verdicts cannot be strict")
+
+
+def _skewness(var: float, m3: float) -> float:
+    """Standardized third moment; 0 at zero variance by convention."""
+    return 0.0 if var == 0.0 else m3 / var**1.5
 
 
 @dataclass(frozen=True)
@@ -94,19 +99,14 @@ class DiscreteLottery:
         return float(np.sum(self.values * self.probs))
 
     def variance(self) -> float:
-        m = self.mean()
-        return float(np.sum(self.probs * (self.values - m) ** 2))
+        return central_moments(self.values, self.probs)[1]
 
     def std(self) -> float:
         return math.sqrt(self.variance())
 
     def skewness(self) -> float:
-        m = self.mean()
-        var = self.variance()
-        if var == 0.0:
-            return 0.0
-        m3 = float(np.sum(self.probs * (self.values - m) ** 3))
-        return m3 / var**1.5
+        _, var, m3, _ = central_moments(self.values, self.probs)
+        return _skewness(var, m3)
 
     def min_value(self) -> float:
         return float(self.values[0])
@@ -115,17 +115,16 @@ class DiscreteLottery:
         return float(self.values[-1])
 
     def moment_summary(self) -> MomentSummary:
-        var = self.variance()
+        m, var, m3, m4 = central_moments(self.values, self.probs)
+        n = int(self.values.size)
         if var == 0.0:
-            return MomentSummary(self.mean(), 0.0, 0.0, 0.0, int(self.values.size))
-        m = self.mean()
-        m4 = float(np.sum(self.probs * (self.values - m) ** 4))
+            return MomentSummary(m, 0.0, 0.0, 0.0, n)
         return MomentSummary(
             mean=m,
             std=math.sqrt(var),
-            skewness=self.skewness(),
+            skewness=_skewness(var, m3),
             kurtosis=m4 / var**2,
-            n=int(self.values.size),
+            n=n,
         )
 
     def affine(self, scale: float, shift: float) -> "DiscreteLottery":
@@ -184,17 +183,11 @@ class EmpiricalDistribution:
         return float(np.sum(v * p))
 
     def variance(self) -> float:
-        v, p = self._mass_points()
-        m = float(np.sum(v * p))
-        return float(np.sum(p * (v - m) ** 2))
+        return central_moments(*self._mass_points())[1]
 
     def skewness(self) -> float:
-        v, p = self._mass_points()
-        m = float(np.sum(v * p))
-        var = float(np.sum(p * (v - m) ** 2))
-        if var == 0.0:
-            return 0.0
-        return float(np.sum(p * (v - m) ** 3)) / var**1.5
+        _, var, m3, _ = central_moments(*self._mass_points())
+        return _skewness(var, m3)
 
     def min_value(self) -> float:
         v, _ = self._mass_points()

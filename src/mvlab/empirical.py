@@ -12,7 +12,7 @@ import csv
 import datetime
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +32,18 @@ class ReturnsTable:
     periods: tuple[str, ...]
     returns: np.ndarray  # (n_periods, n_tickers), NaN marks missing
     dropped: tuple[str, ...] = ()
+    column_of: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "column_of", {t: j for j, t in enumerate(self.tickers)})
+
+    def column(self, ticker: str) -> np.ndarray:
+        """Full column of one ticker, NaN where missing."""
+        return self.returns[:, self.column_of[ticker]]
 
     def series(self, ticker: str) -> np.ndarray:
         """Non-missing return series of one ticker."""
-        col = self.returns[:, self.tickers.index(ticker)]
+        col = self.column(ticker)
         return col[~np.isnan(col)]
 
 
@@ -182,8 +190,8 @@ def build_deciles(table: ReturnsTable, d: int) -> DecileAssignment:
 
 
 def _overlapping(table: ReturnsTable, ticker_a: str, ticker_b: str):
-    col_a = table.returns[:, table.tickers.index(ticker_a)]
-    col_b = table.returns[:, table.tickers.index(ticker_b)]
+    col_a = table.column(ticker_a)
+    col_b = table.column(ticker_b)
     mask = ~np.isnan(col_a) & ~np.isnan(col_b)
     return col_a[mask], col_b[mask]
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from mvlab.distributions import (
     Family,
@@ -20,6 +21,7 @@ from mvlab.distributions import (
     sample,
     solve_params_for_moments,
 )
+from mvlab.dominance import DiscreteLottery, ecdf
 from mvlab.errors import (
     InfeasibleTargetError,
     ParameterError,
@@ -113,6 +115,47 @@ class TestMoments:
     def test_bit_identical_recompute(self):
         x = sample(NormalParams(0, 1), 1000, seed=5)
         assert moments(x) == moments(x)
+
+
+def _reference_samples():
+    normal = sample(NormalParams(0.01, 0.08), 20000, seed=11)
+    heavy = sample(StableParams(1.5, 0.5, 1.0, 0.0), 20000, seed=12)
+    offset = sample(NormalParams(0.0, 1.0), 20000, seed=13) + 1e3
+    return {"normal": normal, "stable": heavy, "offset_1e3": offset}
+
+
+class TestMomentsReference:
+    """``moments`` against scipy's divide-by-n skewness and kurtosis."""
+
+    @pytest.mark.parametrize("name", ["normal", "stable", "offset_1e3"])
+    def test_matches_scipy(self, name):
+        x = _reference_samples()[name]
+        m = moments(x)
+        assert m.mean == pytest.approx(np.mean(x), rel=1e-12)
+        assert m.std == pytest.approx(np.std(x), rel=1e-12)
+        assert m.skewness == pytest.approx(scipy_stats.skew(x), rel=1e-12)
+        assert m.kurtosis == pytest.approx(
+            scipy_stats.kurtosis(x, fisher=False), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("name", ["normal", "stable", "offset_1e3"])
+    def test_equal_weight_lottery_matches(self, name):
+        x = _reference_samples()[name]
+        lottery = DiscreteLottery(x, np.full(x.size, 1.0 / x.size))
+        got, want = lottery.moment_summary(), moments(x)
+        assert got.n == want.n
+        for field in ("mean", "std", "skewness", "kurtosis"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+        assert lottery.variance() == pytest.approx(want.std**2, rel=1e-12)
+        assert lottery.skewness() == pytest.approx(want.skewness, rel=1e-12)
+
+    def test_ecdf_keeps_lottery_moments(self):
+        x = sample(SkewNormalParams(0.0, 1.0, 4.0), 200, seed=14)
+        probs = np.arange(1.0, x.size + 1.0)
+        lottery = DiscreteLottery(x, probs / probs.sum())
+        dist = ecdf(lottery)
+        assert dist.variance() == pytest.approx(lottery.variance(), rel=1e-12)
+        assert dist.skewness() == pytest.approx(lottery.skewness(), rel=1e-12)
 
 
 class TestSolver:

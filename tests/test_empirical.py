@@ -86,6 +86,19 @@ class TestLoadReturns:
         with pytest.raises(IngestionError, match="date"):
             load_returns(path)
 
+    def test_column_lookup_after_drops(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        rng = spawn_rng(2)
+        full = [rng.normal(0.01, 0.05, 60) for _ in range(3)]
+        sparse = [None] * 50 + list(rng.normal(0.01, 0.05, 10))
+        _write_panel(path, ["C", "DROP", "A", "B"], [full[0], sparse, full[1], full[2]], 60)
+        table = load_returns(path)
+        assert table.column_of == {"C": 0, "A": 1, "B": 2}
+        for j, t in enumerate(table.tickers):
+            np.testing.assert_array_equal(table.column(t), table.returns[:, j])
+            written = [float(f"{v:.6f}") for v in full[j]]
+            np.testing.assert_array_equal(table.series(t), written)
+
     def test_missing_cells_are_nan(self, tmp_path):
         path = tmp_path / "returns.csv"
         col = [0.01] * 40

@@ -211,6 +211,44 @@ class TestExpectedUtility:
             sample_expected_utility(x, LOG1)
 
 
+def _reference_utility(spec, z):
+    # the textbook forms, with NumPy's float pow for the power families
+    a = spec.a
+    if spec.family is UtilityFamily.POWER:
+        return (1.0 + z) ** a
+    if spec.family is UtilityFamily.LOG:
+        return np.log(a + z)
+    if spec.family is UtilityFamily.NEG_EXP:
+        return -np.exp(-a * (1.0 + z))
+    return -((1.0 + z) ** (-a))
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("spec", table6_panel(), ids=str)
+    def test_matches_textbook_form(self, spec):
+        lo = spec.domain_min
+        start = -2.0 if lo == -math.inf else lo + 1e-6
+        grid = np.concatenate(([start, start + 1e-3], np.linspace(start, 5.0, 200)))
+        want = _reference_utility(spec, grid)
+        np.testing.assert_allclose(utility_value(spec, grid), want, rtol=1e-13, atol=0)
+        for z in grid[:2]:
+            assert utility_value(spec, float(z)) == pytest.approx(
+                float(_reference_utility(spec, z)), rel=1e-13
+            )
+
+    @pytest.mark.parametrize(
+        "spec", [u for u in table6_panel() if u.domain_min != -math.inf], ids=str
+    )
+    def test_clamped_sample_shares_code_path(self, spec):
+        lo = spec.domain_min
+        x = sample(NormalParams(0.01, 0.08), 20000, seed=21)
+        x[[3, 7]] = [lo - 0.5, lo]
+        eu, clamped = sample_expected_utility(x, spec)
+        assert clamped == 2
+        moved = np.where(x <= lo, lo + 1e-6, x)
+        assert eu == float(np.mean(utility_value(spec, moved)))
+
+
 class TestExpectedQuadratic:
     def test_zero_variance_is_value_at_mean(self):
         for spec in table6_panel():
