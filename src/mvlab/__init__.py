@@ -72,8 +72,10 @@ from .utilities import (
     UtilitySpec,
     approx_table,
     ara,
+    clamped_utility,
     expected_quadratic,
     expected_utility,
+    over_clamp_budget,
     sample_expected_utility,
     table6_panel,
     taylor2,

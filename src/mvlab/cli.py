@@ -324,6 +324,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_deciles(args) -> int:
+    if args.deciles < 2:
+        raise UsageError(f"--deciles must be >= 2, got {args.deciles}")
     table = load_returns(args.returns)
     if args.deciles > len(table.tickers):
         raise UsageError(

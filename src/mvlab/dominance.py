@@ -61,8 +61,8 @@ def _skewness(var: float, m3: float) -> float:
 @dataclass(frozen=True)
 class DiscreteLottery:
     """Finite outcome/probability pairs, canonicalized on construction:
-    values strictly increasing, duplicates merged, probabilities positive
-    and summing to 1 within ``TOL``.
+    values strictly increasing, duplicates merged, probabilities finite,
+    positive and summing to 1 within ``TOL``.
     """
 
     values: np.ndarray
@@ -77,6 +77,8 @@ class DiscreteLottery:
             raise ParameterError("values and probabilities must align")
         if not np.all(np.isfinite(values)):
             raise ParameterError("lottery outcomes must be finite")
+        if not np.all(np.isfinite(probs)):
+            raise ParameterError("lottery probabilities must be finite")
         if np.any(probs <= 0.0):
             raise ParameterError("lottery probabilities must be > 0")
         total = float(np.sum(probs))

@@ -2,8 +2,9 @@
 cross-decile MV-pair agreement analysis.
 
 The returns CSV has header ``date,<ticker1>,<ticker2>,...``, ISO dates,
-decimal returns, and empty cells for missing observations.  Tickers with
-fewer than ``MIN_OBSERVATIONS`` non-missing months are dropped on load.
+finite decimal returns above -1, and empty cells for missing observations.
+Tickers with fewer than ``MIN_OBSERVATIONS`` non-missing months are
+dropped on load.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import MomentSummary, moments
-from .dominance import Relation, mvc_test
-from .errors import DomainError, IngestionError, ParameterError
-from .utilities import UtilitySpec, sample_expected_utility
+# ``mvc_test`` and ``sample_expected_utility`` are not called here; they stay
+# module attributes because bench/tracing.py wraps them at this module.
+from .dominance import mvc_test
+from .errors import IngestionError, ParameterError
+from .utilities import (
+    UtilitySpec,
+    clamped_utility,
+    over_clamp_budget,
+    sample_expected_utility,
+)
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +131,11 @@ def load_returns(path, min_observations: int = MIN_OBSERVATIONS) -> ReturnsTable
                         raise IngestionError(
                             f"{path}:{row_no}: bad return {cell!r} for {tickers[j]}"
                         ) from exc
+                    if not math.isfinite(value):
+                        raise IngestionError(
+                            f"{path}:{row_no}: non-finite return {cell!r} for "
+                            f"{tickers[j]}"
+                        )
                     if value <= -1.0:
                         raise IngestionError(
                             f"{path}:{row_no}: return {value} for {tickers[j]} "
@@ -189,11 +202,10 @@ def build_deciles(table: ReturnsTable, d: int) -> DecileAssignment:
     return DecileAssignment(deciles=deciles, decile_of=decile_of, stats=tuple(stats))
 
 
-def _overlapping(table: ReturnsTable, ticker_a: str, ticker_b: str):
-    col_a = table.column(ticker_a)
-    col_b = table.column(ticker_b)
-    mask = ~np.isnan(col_a) & ~np.isnan(col_b)
-    return col_a[mask], col_b[mask]
+def _mean_std(sums: np.ndarray, sums_sq: np.ndarray, n: np.ndarray):
+    """Mean and divide-by-n std from sums of x and x² over n values."""
+    mean = sums / n
+    return mean, np.sqrt(np.maximum(sums_sq / n - mean * mean, 0.0))
 
 
 def cross_decile_analysis(
@@ -206,48 +218,94 @@ def cross_decile_analysis(
 
     A pair qualifies when the overlapping histories span at least
     ``min_overlap`` periods and the decile-1 stock strictly satisfies the
-    MV rule on those overlapping moments.  Agreement per utility is the
-    weak expected-utility inequality; pairs whose returns breach a
-    utility's clamping budget are excluded from that utility's cell only.
+    MV rule on those overlapping moments (as :func:`mvc_test` decides it).
+    Agreement per utility is the weak expected-utility inequality; pairs
+    whose returns breach a utility's clamping budget are excluded from
+    that utility's cell only.
+
+    All pairs are evaluated together as masked matrix products over the
+    panel.  With M the 0/1 mask of present months, the overlap counts are
+    M1ᵀM (M1: the decile-1 columns).  Overlap means and divide-by-n
+    variances come from sums of r and r² over each overlap.  The returns
+    are not shifted: a per-ticker shift would break exact ties between
+    tickers whose returns agree only over their overlap, and the one-pass
+    variance loses about log10(1 + mean²/var) digits, nothing for returns,
+    whose monthly mean is small against their spread.  Per utility, one
+    product of U(clip(r)) per side gives the expected utilities and, when
+    any draw is clamped, one product of the clamp indicator per side gives
+    the clamp counts.
     """
+    if min_overlap < 1:
+        raise ParameterError(f"min_overlap must be >= 1, got {min_overlap}")
     utilities = list(utilities)
+    columns = [table.column_of[t] for block in assignment.deciles for t in block]
+    bounds = np.cumsum([0] + [len(block) for block in assignment.deciles])
+    d1 = len(assignment.deciles[0])
+    returns = table.returns[:, columns]
+    present = ~np.isnan(returns)
+    mask = present.astype(float)
+    # missing months hold 0, which lies inside every utility's domain
+    raw = np.where(present, returns, 0.0)
+    mask_1 = mask[:, :d1].T
+    n = mask_1 @ mask
+    n_safe = np.maximum(n, 1.0)
+
+    def overlap_sums(a: np.ndarray):
+        """Sums of ``a`` over each pair's overlapping months: the decile-1
+        stock's and its partner's.  Both are products of one shape, so
+        columns that are equal (or negated) over an overlap give bit-equal
+        (or negated) sums, and exact MV ties stay ties."""
+        return a[:, :d1].T @ mask, mask_1 @ a
+
+    def per_decile(flags: np.ndarray) -> np.ndarray:
+        """Number of set flags in each decile's block of partner columns."""
+        cum = np.concatenate(([0], np.cumsum(flags.sum(axis=0))))
+        return cum[bounds[1:]] - cum[bounds[:-1]]
+
+    (sum_1, sum_2), (sq_1, sq_2) = overlap_sums(raw), overlap_sums(raw * raw)
+    mean_1, std_1 = _mean_std(sum_1, sq_1, n_safe)
+    mean_2, std_2 = _mean_std(sum_2, sq_2, n_safe)
+    del sum_1, sum_2, sq_1, sq_2
+    mv = (
+        (n >= min_overlap)
+        & ((mean_1 >= mean_2) & (std_1 <= std_2))
+        & ~((mean_2 >= mean_1) & (std_2 <= std_1))
+    )
+    mv[np.arange(d1), np.arange(d1)] = False  # a stock is never its own partner
+    del mean_1, std_1, mean_2, std_2
+
+    n_eval = {u.identifier: 0 for u in utilities}
+    n_agree = dict(n_eval)
+    for u in utilities:
+        values, clamped = clamped_utility(u, raw)
+        values *= mask
+        evaluable = mv
+        if clamped is not None:
+            clamped_1, clamped_2 = overlap_sums(clamped.astype(float))
+            evaluable = (
+                mv & ~over_clamp_budget(clamped_1, n) & ~over_clamp_budget(clamped_2, n)
+            )
+            del clamped_1, clamped_2
+        eu_1, eu_2 = overlap_sums(values)
+        agree = evaluable & (eu_1 / n_safe >= eu_2 / n_safe)
+        n_eval[u.identifier] = n_eval[u.identifier] + per_decile(evaluable)
+        n_agree[u.identifier] = n_agree[u.identifier] + per_decile(agree)
+        del values, clamped, evaluable, eu_1, eu_2, agree
+
+    n_pairs = per_decile(mv)
     cells = []
-    decile_1 = assignment.deciles[0]
-    for k, block in enumerate(assignment.deciles, start=1):
-        n_pairs = 0
-        n_eval = {u.identifier: 0 for u in utilities}
-        n_agree = {u.identifier: 0 for u in utilities}
-        for stock_1 in decile_1:
-            for stock_2 in block:
-                if stock_1 == stock_2:
-                    continue
-                r1, r2 = _overlapping(table, stock_1, stock_2)
-                if r1.size < min_overlap:
-                    continue
-                verdict = mvc_test(moments(r1), moments(r2))
-                if verdict.relation is not Relation.FIRST_DOMINATES:
-                    continue
-                n_pairs += 1
-                for u in utilities:
-                    try:
-                        eu1, _ = sample_expected_utility(r1, u)
-                        eu2, _ = sample_expected_utility(r2, u)
-                    except DomainError:
-                        continue
-                    n_eval[u.identifier] += 1
-                    if eu1 >= eu2:
-                        n_agree[u.identifier] += 1
-        success = {
-            uid: 100.0 * n_agree[uid] / n_eval[uid]
-            for uid in n_eval
-            if n_eval[uid] > 0
-        }
+    for k in range(len(assignment.deciles)):
+        evaluated = {uid: int(counts[k]) for uid, counts in n_eval.items()}
         cells.append(
             CrossDecileCell(
-                decile=k,
-                n_mv_pairs=n_pairs,
-                n_evaluated=n_eval,
-                success_pct=success,
+                decile=k + 1,
+                n_mv_pairs=int(n_pairs[k]),
+                n_evaluated=evaluated,
+                success_pct={
+                    uid: 100.0 * int(n_agree[uid][k]) / count
+                    for uid, count in evaluated.items()
+                    if count > 0
+                },
             )
         )
     return cells

@@ -225,6 +225,29 @@ def expected_quadratic(spec: UtilitySpec, mean: float, var: float, mode: Expansi
     return q.c0 + q.c1 * mean + q.c2 * (mean * mean + var)
 
 
+def clamped_utility(spec: UtilitySpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """U elementwise on an array of draws, under the clamping policy.
+
+    Draws at or below the domain edge are moved to edge + 1e-6 before U
+    is taken.  Returns (U values, boolean mask of the moved draws), the
+    mask being None when no draw was moved.  Whether the sample may be
+    evaluated at all is :func:`over_clamp_budget` of the moved count.
+    """
+    lo = spec.domain_min
+    if lo == -math.inf:
+        return _evaluate(spec, x), None
+    bad = x <= lo
+    if not bad.any():
+        return _evaluate(spec, x), None
+    return _evaluate(spec, np.where(bad, lo + _CLAMP_OFFSET, x)), bad
+
+
+def over_clamp_budget(n_clamped, n_draws, max_clamped_fraction: float = CLAMP_BUDGET):
+    """True where more than ``max_clamped_fraction`` of ``n_draws`` draws
+    needed clamping; elementwise on arrays of counts."""
+    return n_clamped > max_clamped_fraction * n_draws
+
+
 def sample_expected_utility(
     sample: np.ndarray,
     spec: UtilitySpec,
@@ -239,20 +262,15 @@ def sample_expected_utility(
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ParameterError("expected utility requires a non-empty sample")
-    lo = spec.domain_min
-    n_clamped = 0
-    if lo != -math.inf:
-        bad = x <= lo
-        n_clamped = int(np.count_nonzero(bad))
-        if n_clamped:
-            if n_clamped > max_clamped_fraction * x.size:
-                raise DomainError(
-                    f"{n_clamped}/{x.size} draws below the domain edge of "
-                    f"{spec.identifier} exceeds the clamping budget "
-                    f"({max_clamped_fraction:g})"
-                )
-            x = np.where(bad, lo + _CLAMP_OFFSET, x)
-    return float(np.mean(_evaluate(spec, x))), n_clamped
+    values, clamped = clamped_utility(spec, x)
+    n_clamped = 0 if clamped is None else int(np.count_nonzero(clamped))
+    if over_clamp_budget(n_clamped, x.size, max_clamped_fraction):
+        raise DomainError(
+            f"{n_clamped}/{x.size} draws below the domain edge of "
+            f"{spec.identifier} exceeds the clamping budget "
+            f"({max_clamped_fraction:g})"
+        )
+    return float(np.mean(values)), n_clamped
 
 
 def expected_utility(outcomes, spec: UtilitySpec) -> float:

@@ -84,6 +84,15 @@ class TestCompare:
         z1, _ = lottery_files
         assert main(["compare", str(z1), str(tmp_path / "nope.csv")]) == EXIT_INGESTION
 
+    def test_nan_probability_ingestion_error(self, lottery_files, tmp_path, capsys):
+        z1, _ = lottery_files
+        bad = tmp_path / "nan.csv"
+        bad.write_text("value,probability\n0.1,0.2\n0.3,nan\n")
+        assert main(["compare", str(z1), str(bad)]) == EXIT_INGESTION
+        captured = capsys.readouterr()
+        assert "probabilities must be finite" in captured.err
+        assert captured.out == ""
+
     def test_report_written(self, lottery_files, tmp_path, capsys):
         z1, z2 = lottery_files
         out_path = tmp_path / "verdicts.csv"
@@ -260,3 +269,22 @@ class TestDeciles:
         bad = tmp_path / "bad.csv"
         bad.write_text("date,A\n2000-01-01,-1.5\n")
         assert main(["deciles", str(bad), "--out", str(tmp_path / "x")]) == EXIT_INGESTION
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_return_ingestion_error(self, returns_file, tmp_path, capsys, cell):
+        lines = returns_file.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[5] = cell
+        lines[3] = ",".join(fields)
+        returns_file.write_text("\n".join(lines) + "\n")
+        assert main(["deciles", str(returns_file), "--deciles", "4",
+                     "--out", str(tmp_path / "x")]) == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert f":4: non-finite return '{cell}' for S04" in err
+        assert not (tmp_path / "x_agreement.csv").exists()
+
+    @pytest.mark.parametrize("deciles", ["1", "-3"])
+    def test_deciles_below_two_usage_error(self, returns_file, tmp_path, capsys, deciles):
+        assert main(["deciles", str(returns_file), "--deciles", deciles,
+                     "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert f"--deciles must be >= 2, got {deciles}" in capsys.readouterr().err

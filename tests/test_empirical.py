@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvlab.distributions import Family, MomentTarget, moments, sample, solve_params_for_moments
-from mvlab.empirical import build_deciles, cross_decile_analysis, load_returns
-from mvlab.errors import IngestionError, ParameterError
+from mvlab.dominance import Relation, mvc_test
+from mvlab.empirical import (
+    MIN_OBSERVATIONS,
+    CrossDecileCell,
+    DecileAssignment,
+    ReturnsTable,
+    build_deciles,
+    cross_decile_analysis,
+    load_returns,
+)
+from mvlab.errors import DomainError, IngestionError, ParameterError
 from mvlab.rng import spawn_rng
-from mvlab.utilities import UtilityFamily, UtilitySpec
+from mvlab.utilities import UtilityFamily, UtilitySpec, sample_expected_utility, table6_panel
 
 LOG1 = UtilitySpec(UtilityFamily.LOG, 1.0)
+LOG09 = UtilitySpec(UtilityFamily.LOG, 0.9)
 NEG_POWER_20 = UtilitySpec(UtilityFamily.NEG_POWER, 20.0)
 
 
@@ -98,6 +109,13 @@ class TestLoadReturns:
             np.testing.assert_array_equal(table.column(t), table.returns[:, j])
             written = [float(f"{v:.6f}") for v in full[j]]
             np.testing.assert_array_equal(table.series(t), written)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity", "NaN"])
+    def test_non_finite_return_rejected(self, tmp_path, cell):
+        path = tmp_path / "returns.csv"
+        path.write_text(f"date,A,B\n2000-01-01,0.1,0.2\n2000-02-01,0.1,{cell}\n")
+        with pytest.raises(IngestionError, match=r":3: non-finite return .* for B"):
+            load_returns(path)
 
     def test_missing_cells_are_nan(self, tmp_path):
         path = tmp_path / "returns.csv"
@@ -219,3 +237,101 @@ class TestCrossDecileAnalysis:
         first = cross_decile_analysis(assignment, table, [LOG1])
         second = cross_decile_analysis(assignment, table, [LOG1])
         assert first == second
+
+
+def _loop_oracle(assignment, table, utilities, min_overlap=MIN_OBSERVATIONS):
+    """The per-pair loop that the matrix form replaced: ``moments``,
+    ``mvc_test`` and ``sample_expected_utility`` on each candidate pair's
+    overlapping months."""
+    cells = []
+    for k, block in enumerate(assignment.deciles, start=1):
+        n_pairs = 0
+        n_eval = {u.identifier: 0 for u in utilities}
+        n_agree = dict(n_eval)
+        for stock_1 in assignment.deciles[0]:
+            for stock_2 in block:
+                if stock_1 == stock_2:
+                    continue
+                col_1, col_2 = table.column(stock_1), table.column(stock_2)
+                both = ~np.isnan(col_1) & ~np.isnan(col_2)
+                r1, r2 = col_1[both], col_2[both]
+                if r1.size < min_overlap:
+                    continue
+                if mvc_test(moments(r1), moments(r2)).relation is not Relation.FIRST_DOMINATES:
+                    continue
+                n_pairs += 1
+                for u in utilities:
+                    try:
+                        eu1, _ = sample_expected_utility(r1, u)
+                        eu2, _ = sample_expected_utility(r2, u)
+                    except DomainError:
+                        continue
+                    n_eval[u.identifier] += 1
+                    n_agree[u.identifier] += int(eu1 >= eu2)
+        success = {uid: 100.0 * n_agree[uid] / n for uid, n in n_eval.items() if n > 0}
+        cells.append(CrossDecileCell(k, n_pairs, n_eval, success))
+    return cells
+
+
+def _table(columns) -> ReturnsTable:
+    returns = np.column_stack(columns)
+    tickers = tuple(f"T{j:02d}" for j in range(returns.shape[1]))
+    return ReturnsTable(tickers=tickers, periods=tuple(_dates(returns.shape[0])), returns=returns)
+
+
+@st.composite
+def _oracle_panels(draw):
+    """(table, n_deciles, min_overlap): random columns with about 5% blank
+    months, an identical and a mirrored copy (exact MV ties), late listings
+    whose overlaps fall at and just below ``min_overlap``, and months at or
+    just beyond the log:0.9 edge of -0.9, which only that utility clamps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_periods = draw(st.integers(24, 48))
+    min_overlap = draw(st.integers(8, 20))
+    n_base = draw(st.integers(4, 9))
+    base = rng.normal(
+        rng.uniform(-0.01, 0.02, n_base), rng.uniform(0.02, 0.1, n_base), (n_periods, n_base)
+    )
+    columns = list(base.T) + [base[:, 0].copy(), -base[:, 1]]
+    for listed in (min_overlap, min_overlap - 1):
+        late = rng.normal(0.01, 0.05, n_periods)
+        late[: n_periods - listed] = np.nan
+        columns.append(late)
+    for j in draw(st.lists(st.integers(2, n_base - 1), max_size=2, unique=True)):
+        rows = rng.choice(n_periods, int(rng.integers(1, 3)), replace=False)
+        columns[j][rows] = rng.choice([-0.9, -0.95, -0.8999], rows.size)
+    table = _table(columns)
+    table.returns[rng.random(table.returns.shape) < 0.05] = np.nan
+    return table, draw(st.integers(2, 4)), min_overlap
+
+
+class TestLoopOracle:
+    @given(panel=_oracle_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_loop(self, panel):
+        table, n_deciles, min_overlap = panel
+        assignment = build_deciles(table, n_deciles)
+        utilities = table6_panel()
+        got = cross_decile_analysis(assignment, table, utilities, min_overlap=min_overlap)
+        assert got == _loop_oracle(assignment, table, utilities, min_overlap=min_overlap)
+
+    def test_clamp_budget_is_per_utility(self):
+        # SAFE dominates EDGY and CALM on MV; one EDGY month at -0.95 is past
+        # the log:0.9 edge (-0.9) but inside the log:1 edge (-1), so only
+        # log:0.9 drops the (SAFE, EDGY) pair
+        rng = np.random.default_rng(11)
+        safe = rng.normal(0.03, 0.02, 36)
+        edgy = rng.normal(0.0, 0.1, 36)
+        edgy[5] = -0.95
+        calm = rng.normal(0.01, 0.05, 36)
+        table = _table([safe, edgy, calm])
+        assignment = DecileAssignment(
+            deciles=(("T00",), ("T01", "T02")),
+            decile_of={"T00": 1, "T01": 2, "T02": 2},
+            stats=(),
+        )
+        utilities = [LOG09, LOG1]
+        cells = cross_decile_analysis(assignment, table, utilities)
+        assert cells == _loop_oracle(assignment, table, utilities)
+        assert cells[1].n_mv_pairs == 2
+        assert cells[1].n_evaluated == {"log:0.9": 1, "log:1": 2}

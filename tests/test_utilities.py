@@ -13,8 +13,10 @@ from mvlab.utilities import (
     UtilitySpec,
     approx_table,
     ara,
+    clamped_utility,
     expected_quadratic,
     expected_utility,
+    over_clamp_budget,
     round_half_away_from_zero,
     sample_expected_utility,
     table6_panel,
@@ -247,6 +249,23 @@ class TestEvaluator:
         assert clamped == 2
         moved = np.where(x <= lo, lo + 1e-6, x)
         assert eu == float(np.mean(utility_value(spec, moved)))
+
+
+    def test_clamp_rule_on_a_panel_of_columns(self):
+        # the routines sample_expected_utility uses, on a 2-D array: the
+        # mask marks the moved draws, and the budget test is elementwise
+        x = np.array([[0.01, -0.9], [-0.95, 0.02], [0.03, 0.04]])
+        log09 = UtilitySpec(UtilityFamily.LOG, 0.9)
+        values, clamped = clamped_utility(log09, x)
+        np.testing.assert_array_equal(clamped, [[False, True], [True, False], [False, False]])
+        moved = np.where(clamped, -0.9 + 1e-6, x)
+        np.testing.assert_array_equal(values, utility_value(log09, moved))
+        assert clamped_utility(LOG1, x)[1] is None
+        assert clamped_utility(UtilitySpec(UtilityFamily.NEG_EXP, 3.0), x)[1] is None
+        np.testing.assert_array_equal(
+            over_clamp_budget(np.array([0.0, 2.0, 3.0]), np.array([10.0, 20000.0, 20000.0])),
+            [False, False, True],
+        )
 
 
 class TestExpectedQuadratic:
