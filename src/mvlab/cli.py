@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import sys
 from dataclasses import dataclass
 
@@ -210,6 +211,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"grid must be LO:HI:STEP, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise UsageError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError(f"bad grid {text!r}")
     n = int(round((hi - lo) / step)) + 1
@@ -221,7 +224,12 @@ def cmd_approx_table(args) -> int:
     if args.utility:
         if args.param is None:
             raise UsageError("--param is required with --utility")
-        specs = [UtilitySpec(UtilityFamily(args.utility), args.param)]
+        try:
+            specs = [UtilitySpec(UtilityFamily(args.utility), args.param)]
+        except ParameterError as exc:
+            raise UsageError(f"--param: {exc}") from exc
+    elif args.param is not None:
+        raise UsageError("--param needs --utility")
     else:
         specs = CLASSIC_UTILITIES
     tables = [approx_table(spec, grid) for spec in specs]

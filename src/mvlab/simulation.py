@@ -281,7 +281,7 @@ def generate_mv_pair(spec: ScenarioSpec, pair_index: int) -> tuple[np.ndarray, n
 
 
 def _run_pair(spec: ScenarioSpec, utilities: tuple[UtilitySpec, ...], pair_index: int):
-    """(agreement, regenerations) for one pair."""
+    """(agreement, regenerations) for one pair; the pool maps this so no sample is pickled."""
     _, _, agreement, attempt = _accepted_pair(spec, utilities, pair_index)
     return agreement, attempt
 

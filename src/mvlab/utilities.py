@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -44,6 +45,57 @@ class Expansion(str, enum.Enum):
 
 
 @dataclass(frozen=True)
+class _Family:
+    """One family: the parameter rule 0 < a < a_max, and the open domain
+    edge in z (-inf for all reals), U, (U', U'', U''') and ARA as functions
+    of a and, but for the edge, of an array z inside the domain."""
+
+    a_max: float
+    domain_min: Callable
+    value: Callable
+    derivatives: Callable
+    ara: Callable
+
+
+def _power_of_1pz(sign: float, a_max: float) -> _Family:
+    """c*(1+z)^p with (p, c) = (sign*a, sign): power for sign +1, neg_power
+    for -1.  Negation is exact, so both match their textbook forms bit for
+    bit.  U is exp(p*log1p(z)): NumPy's float ``pow`` is several times slower."""
+
+    def derivatives(a, z):
+        p, w = sign * a, 1.0 + z
+        k1 = sign * p
+        k2 = k1 * (p - 1.0)
+        k3 = k2 * (p - 2.0)
+        return k1 * w ** (p - 1.0), k2 * w ** (p - 2.0), k3 * w ** (p - 3.0)
+
+    return _Family(
+        a_max, lambda a: -1.0, lambda a, z: sign * np.exp(sign * a * np.log1p(z)),
+        derivatives, lambda a, z: (1.0 - sign * a) / (1.0 + z),
+    )
+
+
+def _neg_exp_derivatives(a, z):
+    e = np.exp(-a * (1.0 + z))
+    return a * e, -a * a * e, a**3 * e
+
+
+_FAMILIES = {
+    UtilityFamily.POWER: _power_of_1pz(1.0, a_max=1.0),
+    UtilityFamily.LOG: _Family(
+        math.inf, lambda a: -a, lambda a, z: np.log(a + z),
+        lambda a, z: (1.0 / (a + z), -1.0 / (a + z) ** 2, 2.0 / (a + z) ** 3),
+        lambda a, z: 1.0 / (a + z),
+    ),
+    UtilityFamily.NEG_EXP: _Family(
+        math.inf, lambda a: -math.inf, lambda a, z: -np.exp(-a * (1.0 + z)),
+        _neg_exp_derivatives, lambda a, z: np.full_like(z, a),
+    ),
+    UtilityFamily.NEG_POWER: _power_of_1pz(-1.0, a_max=math.inf),
+}
+
+
+@dataclass(frozen=True)
 class UtilitySpec:
     family: UtilityFamily
     a: float
@@ -51,21 +103,19 @@ class UtilitySpec:
     def __post_init__(self):
         fam = UtilityFamily(self.family)
         object.__setattr__(self, "family", fam)
-        if fam is UtilityFamily.POWER:
-            if not 0.0 < self.a < 1.0:
-                raise ParameterError(f"power exponent must lie in (0, 1), got {self.a}")
-        elif self.a <= 0.0:
-            raise ParameterError(f"{fam.value} parameter must be > 0, got {self.a}")
+        if not math.isfinite(self.a):
+            raise ParameterError(f"{fam.value} parameter must be finite, got {self.a}")
+        a_max = _FAMILIES[fam].a_max
+        if not 0.0 < self.a < a_max:
+            raise ParameterError(
+                f"{fam.value} parameter must lie in (0, {a_max:g}), got {self.a}"
+            )
         self._check_shape()
 
     @property
     def domain_min(self) -> float:
         """Open lower domain edge; -inf when the domain is all reals."""
-        if self.family is UtilityFamily.LOG:
-            return -self.a
-        if self.family is UtilityFamily.NEG_EXP:
-            return -math.inf
-        return -1.0
+        return _FAMILIES[self.family].domain_min(self.a)
 
     @property
     def identifier(self) -> str:
@@ -109,88 +159,33 @@ class QuadraticApprox:
         return float(out) if np.isscalar(z) else out
 
 
-def _check_domain(spec: UtilitySpec, z: np.ndarray) -> None:
+def _pointwise(spec: UtilitySpec, z, formula):
+    """``formula(a, z)``, raising DomainError outside the domain; floats
+    for a scalar z."""
+    arr = np.asarray(z, dtype=float)
     lo = spec.domain_min
-    if lo == -math.inf:
-        return
-    bad = z <= lo
-    if np.any(bad):
-        offender = float(np.asarray(z)[bad].min()) if np.ndim(z) else float(z)
-        raise DomainError(
-            f"{spec.identifier} is undefined at z={offender} (domain z > {lo})"
-        )
-
-
-def _evaluate(spec: UtilitySpec, arr: np.ndarray) -> np.ndarray:
-    """U on an array already inside the domain.  Powers of 1+z are taken
-    as exp(a*log1p(z)): NumPy's float ``pow`` is several times slower."""
-    fam = spec.family
-    a = spec.a
-    if fam is UtilityFamily.POWER:
-        return np.exp(a * np.log1p(arr))
-    if fam is UtilityFamily.LOG:
-        return np.log(a + arr)
-    if fam is UtilityFamily.NEG_EXP:
-        return -np.exp(-a * (1.0 + arr))
-    return -np.exp(-a * np.log1p(arr))
+    if lo > -math.inf and np.any(arr <= lo):
+        offender = float(arr[arr <= lo].min())
+        raise DomainError(f"{spec.identifier} is undefined at z={offender} (domain z > {lo})")
+    out = formula(spec.a, arr)
+    if arr.ndim:
+        return out
+    return tuple(float(u) for u in out) if isinstance(out, tuple) else float(out)
 
 
 def utility_value(spec: UtilitySpec, z):
     """U(z); raises DomainError outside the family's domain."""
-    arr = np.asarray(z, dtype=float)
-    _check_domain(spec, arr)
-    out = _evaluate(spec, arr)
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
+    return _pointwise(spec, z, _FAMILIES[spec.family].value)
 
 
 def utility_derivatives(spec: UtilitySpec, z):
     """Closed-form (U', U'', U''') at z."""
-    arr = np.asarray(z, dtype=float)
-    _check_domain(spec, arr)
-    fam = spec.family
-    a = spec.a
-    if fam is UtilityFamily.POWER:
-        w = 1.0 + arr
-        u1 = a * w ** (a - 1.0)
-        u2 = a * (a - 1.0) * w ** (a - 2.0)
-        u3 = a * (a - 1.0) * (a - 2.0) * w ** (a - 3.0)
-    elif fam is UtilityFamily.LOG:
-        w = a + arr
-        u1 = 1.0 / w
-        u2 = -1.0 / w**2
-        u3 = 2.0 / w**3
-    elif fam is UtilityFamily.NEG_EXP:
-        e = np.exp(-a * (1.0 + arr))
-        u1 = a * e
-        u2 = -a * a * e
-        u3 = a**3 * e
-    else:
-        w = 1.0 + arr
-        u1 = a * w ** (-a - 1.0)
-        u2 = -a * (a + 1.0) * w ** (-a - 2.0)
-        u3 = a * (a + 1.0) * (a + 2.0) * w ** (-a - 3.0)
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(u1), float(u2), float(u3)
-    return u1, u2, u3
+    return _pointwise(spec, z, _FAMILIES[spec.family].derivatives)
 
 
 def ara(spec: UtilitySpec, z):
     """Absolute risk aversion -U''/U' in closed form."""
-    arr = np.asarray(z, dtype=float)
-    _check_domain(spec, arr)
-    fam = spec.family
-    a = spec.a
-    if fam is UtilityFamily.POWER:
-        out = (1.0 - a) / (1.0 + arr)
-    elif fam is UtilityFamily.LOG:
-        out = 1.0 / (a + arr)
-    elif fam is UtilityFamily.NEG_EXP:
-        out = np.full_like(arr, a) if arr.ndim else a
-    else:
-        out = (1.0 + a) / (1.0 + arr)
-    if np.isscalar(z) or np.ndim(arr) == 0:
-        return float(out)
-    return out
+    return _pointwise(spec, z, _FAMILIES[spec.family].ara)
 
 
 def taylor2(spec: UtilitySpec, center: float) -> QuadraticApprox:
@@ -233,13 +228,13 @@ def clamped_utility(spec: UtilitySpec, x: np.ndarray) -> tuple[np.ndarray, np.nd
     mask being None when no draw was moved.  Whether the sample may be
     evaluated at all is :func:`over_clamp_budget` of the moved count.
     """
-    lo = spec.domain_min
+    lo, value = spec.domain_min, _FAMILIES[spec.family].value
     if lo == -math.inf:
-        return _evaluate(spec, x), None
+        return value(spec.a, x), None
     bad = x <= lo
     if not bad.any():
-        return _evaluate(spec, x), None
-    return _evaluate(spec, np.where(bad, lo + _CLAMP_OFFSET, x)), bad
+        return value(spec.a, x), None
+    return value(spec.a, np.where(bad, lo + _CLAMP_OFFSET, x)), bad
 
 
 def over_clamp_budget(n_clamped, n_draws, max_clamped_fraction: float = CLAMP_BUDGET):

@@ -133,6 +133,30 @@ class TestApproxTable:
     def test_utility_requires_param(self):
         assert main(["approx-table", "--utility", "log"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.1", "0:1:nan", "-inf:0:0.1"])
+    def test_non_finite_grid_usage_error(self, capsys, grid):
+        assert main(["approx-table", f"--grid={grid}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: grid bounds and step must be finite")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--utility", "power", "--param", "1"],
+            ["--utility", "log", "--param", "nan"],
+            ["--utility", "neg_exp", "--param=-inf"],
+            ["--utility", "neg_power", "--param", "0"],
+        ],
+    )
+    def test_bad_param_usage_error(self, capsys, argv):
+        assert main(["approx-table", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: --param: ")
+
+    def test_param_without_utility_usage_error(self, capsys):
+        assert main(["approx-table", "--param", "0.5"]) == EXIT_USAGE
+        assert "--param needs --utility" in capsys.readouterr().err
+
     def test_markdown_format(self, capsys):
         assert main(["approx-table", "--grid", "0:0.1:0.1", "--format", "md"]) == EXIT_OK
         out = capsys.readouterr().out

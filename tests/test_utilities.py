@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvlab.cli import CLASSIC_UTILITIES
 from mvlab.distributions import NormalParams, moments, sample
 from mvlab.dominance import DiscreteLottery
 from mvlab.errors import DomainError, ParameterError
@@ -52,6 +54,14 @@ class TestSpecValidation:
             UtilitySpec(family, 0.0)
         with pytest.raises(ParameterError):
             UtilitySpec(family, -1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", list(UtilityFamily))
+    def test_non_finite_parameter(self, family, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="must be finite"):
+                UtilitySpec(family, a)
 
     def test_identifier(self):
         assert UtilitySpec(UtilityFamily.NEG_EXP, 20).identifier == "neg_exp:20"
@@ -266,6 +276,86 @@ class TestEvaluator:
             over_clamp_budget(np.array([0.0, 2.0, 3.0]), np.array([10.0, 20000.0, 20000.0])),
             [False, False, True],
         )
+
+
+def _oracle_domain_min(spec):
+    # the per-family formulas as written before they moved into one table,
+    # kept verbatim so that any moved bit shows
+    if spec.family is UtilityFamily.LOG:
+        return -spec.a
+    if spec.family is UtilityFamily.NEG_EXP:
+        return -math.inf
+    return -1.0
+
+
+def _oracle_value(spec, arr):
+    a = spec.a
+    if spec.family is UtilityFamily.POWER:
+        return np.exp(a * np.log1p(arr))
+    if spec.family is UtilityFamily.LOG:
+        return np.log(a + arr)
+    if spec.family is UtilityFamily.NEG_EXP:
+        return -np.exp(-a * (1.0 + arr))
+    return -np.exp(-a * np.log1p(arr))
+
+
+def _oracle_derivatives(spec, arr):
+    a = spec.a
+    if spec.family is UtilityFamily.POWER:
+        w = 1.0 + arr
+        u1 = a * w ** (a - 1.0)
+        u2 = a * (a - 1.0) * w ** (a - 2.0)
+        u3 = a * (a - 1.0) * (a - 2.0) * w ** (a - 3.0)
+    elif spec.family is UtilityFamily.LOG:
+        w = a + arr
+        u1 = 1.0 / w
+        u2 = -1.0 / w**2
+        u3 = 2.0 / w**3
+    elif spec.family is UtilityFamily.NEG_EXP:
+        e = np.exp(-a * (1.0 + arr))
+        u1 = a * e
+        u2 = -a * a * e
+        u3 = a**3 * e
+    else:
+        w = 1.0 + arr
+        u1 = a * w ** (-a - 1.0)
+        u2 = -a * (a + 1.0) * w ** (-a - 2.0)
+        u3 = a * (a + 1.0) * (a + 2.0) * w ** (-a - 3.0)
+    return u1, u2, u3
+
+
+def _oracle_ara(spec, arr):
+    a = spec.a
+    if spec.family is UtilityFamily.POWER:
+        return (1.0 - a) / (1.0 + arr)
+    if spec.family is UtilityFamily.LOG:
+        return 1.0 / (a + arr)
+    if spec.family is UtilityFamily.NEG_EXP:
+        return np.full_like(arr, a) if arr.ndim else a
+    return (1.0 + a) / (1.0 + arr)
+
+
+class TestFamilyTableOracle:
+    @pytest.mark.parametrize("spec", table6_panel() + CLASSIC_UTILITIES, ids=str)
+    def test_bit_identical_to_per_family_formulas(self, spec):
+        lo = _oracle_domain_min(spec)
+        assert spec.domain_min == lo
+        start = -5.0 if lo == -math.inf else lo
+        grid = start + np.concatenate((np.logspace(-9, 0, 60), np.linspace(1.0, 12.0, 4000)))
+        assert np.array_equal(utility_value(spec, grid), _oracle_value(spec, grid))
+        for got, want in zip(utility_derivatives(spec, grid), _oracle_derivatives(spec, grid)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(ara(spec, grid), _oracle_ara(spec, grid))
+        for z in list(grid[:60:3]) + list(grid[60::400]):
+            z = float(z)
+            arr = np.asarray(z)
+            value = utility_value(spec, z)
+            assert type(value) is float and value == float(_oracle_value(spec, arr))
+            derivs = utility_derivatives(spec, z)
+            assert all(type(u) is float for u in derivs)
+            assert derivs == tuple(float(u) for u in _oracle_derivatives(spec, arr))
+            risk = ara(spec, z)
+            assert type(risk) is float and risk == float(_oracle_ara(spec, arr))
 
 
 class TestExpectedQuadratic:
