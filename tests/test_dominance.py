@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvlab.dominance import (
+    TOL,
     DiscreteLottery,
+    DominanceVerdict,
     EmpiricalDistribution,
     LEFT_TAIL_CONDITION,
     MEAN_CONDITION,
@@ -232,6 +234,38 @@ class TestLotteryCsv:
         with pytest.raises(IngestionError):
             load_lottery(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n1,1\n", "{path}: expected header 'value,probability', got ['x', 'y']"),
+            ("", "{path}: expected header 'value,probability', got None"),
+            ("value,probability\n5,0.4\n10\n", "{path}:3: expected two columns"),
+            (
+                "value,probability\n5,0.4\n\noops,0.6\n",
+                "{path}:4: could not convert string to float: 'oops'",
+            ),
+            ("value,probability\n\n , \n", "{path}: no outcomes found"),
+            (
+                "value,probability\n0.1,0.2\n0.3,nan\n",
+                "{path}: lottery probabilities must be finite",
+            ),
+            (
+                None,
+                "cannot read lottery file {path}: "
+                "[Errno 2] No such file or directory: '{path}'",
+            ),
+        ],
+        ids=["bad_header", "empty", "short_row", "bad_float", "no_outcomes",
+             "nan_probability", "missing_file"],
+    )
+    def test_error_message_pinned(self, tmp_path, text, message):
+        path = tmp_path / "lottery.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(IngestionError) as info:
+            load_lottery(path)
+        assert str(info.value) == message.format(path=path)
+
 
 @st.composite
 def small_lotteries(draw):
@@ -263,3 +297,110 @@ def test_antisymmetry_property(first, second):
     f, g = ecdf(first), ecdf(second)
     for rule in (fsd_test, ssd_test, tsd_test):
         assert rule(g, f).relation is mirror[rule(f, g).relation]
+
+
+def _tsd_loop_oracle(F, G):
+    """The per-segment loop version of ``tsd_test`` that the array form
+    replaced, kept verbatim apart from inlining the running integral."""
+    xs = np.union1d(F.support, G.support)
+    d = G.at(xs) - F.at(xs)
+    inner = np.zeros(xs.size)
+    if xs.size > 1:
+        inner[1:] = np.cumsum(d[:-1] * np.diff(xs))
+    dx = np.diff(xs)
+    outer = np.zeros(xs.size)
+    if xs.size > 1:
+        outer[1:] = np.cumsum((inner[:-1] + inner[1:]) / 2.0 * dx)
+    candidates = list(outer)
+    witnesses = list(xs)
+    for j in range(xs.size - 1):
+        a, b = inner[j], inner[j + 1]
+        if (a > TOL and b < -TOL) or (a < -TOL and b > TOL):
+            t = dx[j] * a / (a - b)
+            candidates.append(outer[j] + a * t / 2.0)
+            witnesses.append(xs[j] + t)
+    candidates = np.array(candidates)
+    witnesses = np.array(witnesses)
+    mean_f = F.mean()
+    mean_g = G.mean()
+
+    def side(vals, dmean):
+        ok = bool(np.all(vals >= -TOL)) and dmean >= -TOL
+        strict = bool(np.any(vals > TOL)) or dmean > TOL
+        return ok, strict
+
+    f_ok, f_strict = side(candidates, mean_f - mean_g)
+    g_ok, g_strict = side(-candidates, mean_g - mean_f)
+    if f_ok and g_ok:
+        return DominanceVerdict(Relation.INDISTINGUISHABLE, strict=False)
+    if f_ok and f_strict:
+        above = candidates > TOL
+        witness = float(witnesses[np.argmax(above)]) if above.any() else None
+        return DominanceVerdict(Relation.FIRST_DOMINATES, strict=True, witness=witness)
+    if g_ok and g_strict:
+        below = candidates < -TOL
+        witness = float(witnesses[np.argmax(below)]) if below.any() else None
+        return DominanceVerdict(Relation.SECOND_DOMINATES, strict=True, witness=witness)
+    below = candidates < -TOL
+    witness = float(witnesses[np.argmax(below)]) if below.any() else None
+    return DominanceVerdict(Relation.NO_DOMINANCE, strict=False, witness=witness)
+
+
+def _spread(values, probs, atoms, widths):
+    """Split each chosen atom v into v - d and v + d at half its mass:
+    a mean-preserving spread."""
+    atoms = list(atoms)
+    v, p = values[atoms], probs[atoms] / 2.0
+    return DiscreteLottery(
+        np.concatenate([np.delete(values, atoms), v - widths, v + widths]),
+        np.concatenate([np.delete(probs, atoms), p, p]),
+    )
+
+
+@st.composite
+def _tsd_pairs(draw):
+    """(F, G) step CDFs.  "spreads" splits the even atoms of one base
+    lottery on a unit grid for F and the odd atoms for G, with widths up to
+    1.5 so neighbouring spreads overlap: equal means up to rounding, and a
+    running integral that changes sign on many segments.  The other kinds
+    are identical lotteries, single-point supports, a shift and two
+    independent lotteries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spreads", "identical", "single", "shift", "independent"]))
+    n = int(rng.integers(2, 16))
+    probs = rng.dirichlet(np.ones(n))
+    if kind == "spreads":
+        values = np.arange(n, dtype=float) * float(rng.uniform(0.5, 2.0))
+        widths = rng.uniform(0.05, 1.5, n)
+        even, odd = range(0, n, 2), range(1, n, 2)
+        return (
+            ecdf(_spread(values, probs, even, widths[0::2])),
+            ecdf(_spread(values, probs, odd, widths[1::2])),
+        )
+    if kind == "single":
+        a, b = np.round(rng.uniform(-2.0, 2.0, 2), int(rng.integers(0, 3)))
+        first = DiscreteLottery.from_pairs([(a, 1.0)])
+        second = first if rng.random() < 0.3 else DiscreteLottery.from_pairs([(b, 1.0)])
+        if rng.random() < 0.3:
+            second = DiscreteLottery(np.round(rng.uniform(-2.0, 2.0, n), 2), probs)
+        return ecdf(first), ecdf(second)
+    first = DiscreteLottery(np.round(rng.uniform(-5.0, 5.0, n), 2), probs)
+    if kind == "identical":
+        second = DiscreteLottery(first.values.copy(), first.probs.copy())
+    elif kind == "shift":
+        second = first.affine(1.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.5)))
+    else:
+        second = DiscreteLottery(np.round(rng.uniform(-5.0, 5.0, n), 2), rng.dirichlet(np.ones(n)))
+    return ecdf(first), ecdf(second)
+
+
+@given(pair=_tsd_pairs())
+@settings(max_examples=300, deadline=None)
+def test_tsd_matches_segment_loop(pair):
+    F, G = pair
+    for first, second in ((F, G), (G, F)):
+        got, want = tsd_test(first, second), _tsd_loop_oracle(first, second)
+        assert got.relation is want.relation
+        assert got.strict is want.strict
+        assert (got.witness is None) == (want.witness is None)
+        assert got.witness == want.witness

@@ -117,6 +117,45 @@ class TestLoadReturns:
         with pytest.raises(IngestionError, match=r":3: non-finite return .* for B"):
             load_returns(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "Date;A\n2000-01-01;0.1\n",
+                "{path}: expected header 'date,<ticker>,...', got ['Date;A']",
+            ),
+            ("date\n2000-01-01\n", "{path}: expected header 'date,<ticker>,...', got ['date']"),
+            ("", "{path}: expected header 'date,<ticker>,...', got None"),
+            ("date,A, \n2000-01-01,0.1,0.2\n", "{path}: blank ticker name in header"),
+            ("date,A,B,A\n2000-01-01,0.1,0.2,0.3\n", "{path}: duplicate ticker 'A'"),
+            ("date,A,B\n2000-01-01,0.1\n", "{path}:2: expected 3 columns, got 2"),
+            ("date,A\nJan-2000,0.1\n", "{path}:2: bad date 'Jan-2000'"),
+            (
+                "date,A\n2000-01-01,0.1\n\n2000-03-01, oops \n",
+                "{path}:4: bad return 'oops' for A",
+            ),
+            ("date,A,B\n2000-01-01,0.1,inf\n", "{path}:2: non-finite return 'inf' for B"),
+            ("date,A\n2000-01-01,-1.5\n", "{path}:2: return -1.5 for A is <= -1"),
+            ("date,A\n2000-01-01,-1\n", "{path}:2: return -1.0 for A is <= -1"),
+            ("date,A\n\n , \n", "{path}: no data rows"),
+            (
+                None,
+                "cannot read returns file {path}: "
+                "[Errno 2] No such file or directory: '{path}'",
+            ),
+        ],
+        ids=["bad_header", "date_only", "empty", "blank_ticker", "duplicate_ticker",
+             "column_count", "bad_date", "bad_return", "non_finite", "below_minus_one",
+             "minus_one", "no_data_rows", "missing_file"],
+    )
+    def test_error_message_pinned(self, tmp_path, text, message):
+        path = tmp_path / "returns.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(IngestionError) as info:
+            load_returns(path)
+        assert str(info.value) == message.format(path=path)
+
     def test_missing_cells_are_nan(self, tmp_path):
         path = tmp_path / "returns.csv"
         col = [0.01] * 40
