@@ -53,6 +53,7 @@ EXIT_GENERATION = 4
 EXIT_DOMAIN = 5
 
 RULES = ("fsd", "ssd", "tsd", "mvc", "quad")
+MAX_GRID_ROWS = 100_000
 
 # The classic approximation table: ln(1+z), sqrt(1+z), cbrt(1+z) on a
 # -60%..100% grid in 10% steps.
@@ -215,8 +216,11 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError(f"bad grid {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return [round(lo + i * step, 12) for i in range(n)]
+    steps = (hi - lo) / step
+    # the grid has round(steps) + 1 rows; steps is inf when hi - lo overflows
+    if steps >= MAX_GRID_ROWS - 0.5:
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_ROWS} rows")
+    return [round(lo + i * step, 12) for i in range(int(round(steps)) + 1)]
 
 
 def cmd_approx_table(args) -> int:

@@ -220,20 +220,23 @@ def _merged_support(F: EmpiricalDistribution, G: EmpiricalDistribution) -> np.nd
     return np.union1d(F.support, G.support)
 
 
-def _two_sided_verdict(diff: np.ndarray, xs: np.ndarray) -> DominanceVerdict:
-    """Verdict from a signed pointwise margin: the first distribution
-    dominates where ``diff`` is >= 0 everywhere and > 0 somewhere."""
-    first_ok = bool(np.all(diff >= -TOL))
-    second_ok = bool(np.all(diff <= TOL))
+def _two_sided_verdict(
+    margin: np.ndarray, xs: np.ndarray, dmean: float = 0.0
+) -> DominanceVerdict:
+    """Verdict from a signed pointwise margin at ``xs`` and a mean
+    difference: the first distribution dominates where both are >= 0
+    everywhere and one is > 0 somewhere.  The witness is the first point
+    where the margin decides the verdict, or None when none does."""
+    first_ok = bool(np.all(margin >= -TOL)) and dmean >= -TOL
+    second_ok = bool(np.all(margin <= TOL)) and dmean <= TOL
     if first_ok and second_ok:
         return DominanceVerdict(Relation.INDISTINGUISHABLE, strict=False)
+    decides = margin > TOL if first_ok else margin < -TOL
+    witness = float(xs[np.argmax(decides)]) if decides.any() else None
     if first_ok:
-        witness = float(xs[np.argmax(diff > TOL)])
         return DominanceVerdict(Relation.FIRST_DOMINATES, strict=True, witness=witness)
     if second_ok:
-        witness = float(xs[np.argmax(diff < -TOL)])
         return DominanceVerdict(Relation.SECOND_DOMINATES, strict=True, witness=witness)
-    witness = float(xs[np.argmax(diff < -TOL)])
     return DominanceVerdict(Relation.NO_DOMINANCE, strict=False, witness=witness)
 
 
@@ -250,8 +253,7 @@ def _running_integral(F: EmpiricalDistribution, G: EmpiricalDistribution):
     xs = _merged_support(F, G)
     d = G.at(xs) - F.at(xs)
     integral = np.zeros(xs.size)
-    if xs.size > 1:
-        integral[1:] = np.cumsum(d[:-1] * np.diff(xs))
+    integral[1:] = np.cumsum(d[:-1] * np.diff(xs))
     return xs, integral
 
 
@@ -272,46 +274,20 @@ def tsd_test(F: EmpiricalDistribution, G: EmpiricalDistribution) -> DominanceVer
 
     The inner integral is piecewise linear, so the outer one is piecewise
     quadratic; it is checked at all breakpoints plus the interior
-    stationary points where the inner integral crosses zero.
+    stationary points where the inner integral crosses zero, which follow
+    the breakpoints in segment order.
     """
     xs, inner = _running_integral(F, G)
     dx = np.diff(xs)
     outer = np.zeros(xs.size)
-    if xs.size > 1:
-        outer[1:] = np.cumsum((inner[:-1] + inner[1:]) / 2.0 * dx)
-    candidates = list(outer)
-    witnesses = list(xs)
-    for j in range(xs.size - 1):
-        a, b = inner[j], inner[j + 1]
-        if (a > TOL and b < -TOL) or (a < -TOL and b > TOL):
-            t = dx[j] * a / (a - b)
-            candidates.append(outer[j] + a * t / 2.0)
-            witnesses.append(xs[j] + t)
-    candidates = np.array(candidates)
-    witnesses = np.array(witnesses)
-    mean_f = F.mean()
-    mean_g = G.mean()
-
-    def side(vals, dmean):
-        ok = bool(np.all(vals >= -TOL)) and dmean >= -TOL
-        strict = bool(np.any(vals > TOL)) or dmean > TOL
-        return ok, strict
-
-    f_ok, f_strict = side(candidates, mean_f - mean_g)
-    g_ok, g_strict = side(-candidates, mean_g - mean_f)
-    if f_ok and g_ok:
-        return DominanceVerdict(Relation.INDISTINGUISHABLE, strict=False)
-    if f_ok and f_strict:
-        above = candidates > TOL
-        witness = float(witnesses[np.argmax(above)]) if above.any() else None
-        return DominanceVerdict(Relation.FIRST_DOMINATES, strict=True, witness=witness)
-    if g_ok and g_strict:
-        below = candidates < -TOL
-        witness = float(witnesses[np.argmax(below)]) if below.any() else None
-        return DominanceVerdict(Relation.SECOND_DOMINATES, strict=True, witness=witness)
-    below = candidates < -TOL
-    witness = float(witnesses[np.argmax(below)]) if below.any() else None
-    return DominanceVerdict(Relation.NO_DOMINANCE, strict=False, witness=witness)
+    outer[1:] = np.cumsum((inner[:-1] + inner[1:]) / 2.0 * dx)
+    a, b = inner[:-1], inner[1:]
+    crossing = ((a > TOL) & (b < -TOL)) | ((a < -TOL) & (b > TOL))
+    a, b = a[crossing], b[crossing]
+    t = dx[crossing] * a / (a - b)
+    candidates = np.concatenate((outer, outer[:-1][crossing] + a * t / 2.0))
+    points = np.concatenate((xs, xs[:-1][crossing] + t))
+    return _two_sided_verdict(candidates, points, F.mean() - G.mean())
 
 
 def satisfies_mv(m1: MomentSummary, m2: MomentSummary) -> bool:
@@ -397,33 +373,38 @@ def necessary_screen(
     return violations
 
 
-def load_lottery(path) -> DiscreteLottery:
-    """Read a ``value,probability`` CSV into a lottery."""
-    values = []
-    probs = []
+def csv_rows(path, kind: str):
+    """Stream a CSV file: first its header row (None for an empty file),
+    then ``(row_no, cells)`` for each non-blank row, numbered from 2.  A
+    file that cannot be opened, decoded or split into fields raises
+    :class:`IngestionError` naming ``kind``."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != [
-                "value",
-                "probability",
-            ]:
-                raise IngestionError(
-                    f"{path}: expected header 'value,probability', got {header}"
-                )
+            yield next(reader, None)
             for row_no, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < 2:
-                    raise IngestionError(f"{path}:{row_no}: expected two columns")
-                try:
-                    values.append(float(row[0]))
-                    probs.append(float(row[1]))
-                except ValueError as exc:
-                    raise IngestionError(f"{path}:{row_no}: {exc}") from exc
-    except OSError as exc:
-        raise IngestionError(f"cannot read lottery file {path}: {exc}") from exc
+                if any(map(str.strip, row)):
+                    yield row_no, row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_lottery(path) -> DiscreteLottery:
+    """Read a ``value,probability`` CSV into a lottery."""
+    records = csv_rows(path, "lottery")
+    header = next(records)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["value", "probability"]:
+        raise IngestionError(f"{path}: expected header 'value,probability', got {header}")
+    values = []
+    probs = []
+    for row_no, row in records:
+        if len(row) < 2:
+            raise IngestionError(f"{path}:{row_no}: expected two columns")
+        try:
+            values.append(float(row[0]))
+            probs.append(float(row[1]))
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{row_no}: {exc}") from exc
     if not values:
         raise IngestionError(f"{path}: no outcomes found")
     try:

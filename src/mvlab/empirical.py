@@ -9,7 +9,6 @@ dropped on load.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import logging
 import math
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import MomentSummary, moments
+from .dominance import csv_rows
 # ``mvc_test`` and ``sample_expected_utility`` are not called here; they stay
 # module attributes because bench/tracing.py wraps them at this module.
 from .dominance import mvc_test
@@ -89,63 +89,52 @@ class CrossDecileCell:
 
 def load_returns(path, min_observations: int = MIN_OBSERVATIONS) -> ReturnsTable:
     """Parse and validate a returns CSV; drops under-observed tickers."""
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header or header[0].strip().lower() != "date" or len(header) < 2:
+    records = csv_rows(path, "returns")
+    header = next(records)
+    if not header or header[0].strip().lower() != "date" or len(header) < 2:
+        raise IngestionError(f"{path}: expected header 'date,<ticker>,...', got {header}")
+    tickers = [t.strip() for t in header[1:]]
+    if any(not t for t in tickers):
+        raise IngestionError(f"{path}: blank ticker name in header")
+    seen = set()
+    for t in tickers:
+        if t in seen:
+            raise IngestionError(f"{path}: duplicate ticker {t!r}")
+        seen.add(t)
+    periods = []
+    rows = []
+    for row_no, row in records:
+        if len(row) != len(tickers) + 1:
+            raise IngestionError(
+                f"{path}:{row_no}: expected {len(tickers) + 1} columns, got {len(row)}"
+            )
+        date_text = row[0].strip()
+        try:
+            datetime.date.fromisoformat(date_text)
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{row_no}: bad date {date_text!r}") from exc
+        values = np.full(len(tickers), np.nan)
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
                 raise IngestionError(
-                    f"{path}: expected header 'date,<ticker>,...', got {header}"
+                    f"{path}:{row_no}: bad return {cell!r} for {tickers[j]}"
+                ) from exc
+            if not math.isfinite(value):
+                raise IngestionError(
+                    f"{path}:{row_no}: non-finite return {cell!r} for {tickers[j]}"
                 )
-            tickers = [t.strip() for t in header[1:]]
-            if any(not t for t in tickers):
-                raise IngestionError(f"{path}: blank ticker name in header")
-            seen = set()
-            for t in tickers:
-                if t in seen:
-                    raise IngestionError(f"{path}: duplicate ticker {t!r}")
-                seen.add(t)
-            periods = []
-            rows = []
-            for row_no, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(tickers) + 1:
-                    raise IngestionError(
-                        f"{path}:{row_no}: expected {len(tickers) + 1} columns, "
-                        f"got {len(row)}"
-                    )
-                date_text = row[0].strip()
-                try:
-                    datetime.date.fromisoformat(date_text)
-                except ValueError as exc:
-                    raise IngestionError(f"{path}:{row_no}: bad date {date_text!r}") from exc
-                values = np.full(len(tickers), np.nan)
-                for j, cell in enumerate(row[1:]):
-                    cell = cell.strip()
-                    if not cell:
-                        continue
-                    try:
-                        value = float(cell)
-                    except ValueError as exc:
-                        raise IngestionError(
-                            f"{path}:{row_no}: bad return {cell!r} for {tickers[j]}"
-                        ) from exc
-                    if not math.isfinite(value):
-                        raise IngestionError(
-                            f"{path}:{row_no}: non-finite return {cell!r} for "
-                            f"{tickers[j]}"
-                        )
-                    if value <= -1.0:
-                        raise IngestionError(
-                            f"{path}:{row_no}: return {value} for {tickers[j]} "
-                            f"is <= -1"
-                        )
-                    values[j] = value
-                periods.append(date_text)
-                rows.append(values)
-    except OSError as exc:
-        raise IngestionError(f"cannot read returns file {path}: {exc}") from exc
+            if value <= -1.0:
+                raise IngestionError(
+                    f"{path}:{row_no}: return {value} for {tickers[j]} is <= -1"
+                )
+            values[j] = value
+        periods.append(date_text)
+        rows.append(values)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     matrix = np.vstack(rows)

@@ -507,9 +507,11 @@ def load_scenario_config(
     mean_ratio, std_ratio, base_mean, base_std, n_obs, n_pairs, seed and
     optionally skew_ratio / base_skew.  Intervals use ``lo..hi``."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"cannot read scenario config {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise UsageError(f"cannot read scenario config {path}: {exc}") from exc
     scenarios = []
     for section in parser.sections():
         cell = parser[section]
@@ -538,7 +540,7 @@ def load_scenario_config(
             )
         except KeyError as exc:
             raise UsageError(f"[{section}] missing key {exc.args[0]!r}") from exc
-        except (ValueError, ParameterError) as exc:
+        except (ValueError, ParameterError, configparser.Error) as exc:
             raise UsageError(f"[{section}] {exc}") from exc
         scenarios.append(spec)
     if not scenarios:

@@ -7,6 +7,7 @@ from mvlab.cli import (
     EXIT_INGESTION,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_grid,
     main,
 )
 from mvlab.distributions import Family, MomentTarget
@@ -31,6 +32,10 @@ def table3_files(tmp_path):
     f.write_text("value,probability\n5,0.8\n30,0.2\n")
     g.write_text("value,probability\n7,0.99\n150,0.01\n")
     return f, g
+
+
+# a cell that is not UTF-8, and one longer than the csv module's field limit
+UNREADABLE_CSV_BODIES = [b"10,0.6 caf\xe9\n", b"10," + b"1" * 131_073 + b"\n"]
 
 
 def _small_config(tmp_path, n_obs=2000, n_pairs=3, seed=99):
@@ -92,6 +97,16 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "probabilities must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("body", UNREADABLE_CSV_BODIES, ids=["latin1_byte", "huge_field"])
+    def test_unreadable_lottery_ingestion_error(self, lottery_files, tmp_path, capsys, body):
+        z1, _ = lottery_files
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"value,probability\n5,0.4\n" + body)
+        assert main(["compare", str(z1), str(bad)]) == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert err.startswith(f"ingestion error: cannot read lottery file {bad}: ")
+        assert "Traceback" not in err
 
     def test_report_written(self, lottery_files, tmp_path, capsys):
         z1, z2 = lottery_files
@@ -157,6 +172,17 @@ class TestApproxTable:
         assert main(["approx-table", "--param", "0.5"]) == EXIT_USAGE
         assert "--param needs --utility" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0:1e9:1e-9", "0:100000:1", "-1e308:1e308:1"])
+    def test_oversized_grid_usage_error(self, capsys, grid):
+        # the row count is checked before any row is built: 0:1e9:1e-9
+        # would otherwise be a list of 10**9 / 1e-9 + 1 = 1e18 floats
+        assert main(["approx-table", f"--grid={grid}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: grid {grid!r} has more than 100000 rows\n"
+
+    def test_grid_at_row_cap(self):
+        assert len(_parse_grid("0:99999:1")) == 100_000
+
     def test_markdown_format(self, capsys):
         assert main(["approx-table", "--grid", "0:0.1:0.1", "--format", "md"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -207,10 +233,20 @@ class TestSimulate:
         scenarios = load_scenario_config(config_path)
         assert all(s.n_obs == 100_000 and s.n_pairs == 1_000 for s in scenarios)
 
-    def test_bad_config_usage_error(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[cell]\nfamily = normal\n")
-        assert main(["simulate", str(path)]) == EXIT_USAGE
+    def test_bad_config_usage_error(self, tmp_path, capsys):
+        bad_configs = {
+            "missing_key": b"[cell]\nfamily = normal\n",
+            "no_section_header": b"family = normal\n",
+            "duplicate_section": b"[cell]\nfamily = normal\n[cell]\nfamily = normal\n",
+            "duplicate_option": b"[cell]\nfamily = normal\nfamily = laplace\n",
+            "not_utf8": b"[cell]\nfamily = norm\xe9l\n",
+            "bad_interpolation": b"[cell]\nfamily = normal\nmean_ratio = 5%\n",
+        }
+        for name, body in bad_configs.items():
+            path = tmp_path / f"{name}.ini"
+            path.write_bytes(body)
+            assert main(["simulate", str(path)]) == EXIT_USAGE, name
+            assert capsys.readouterr().err.startswith("usage error: "), name
 
     def test_missing_config_usage_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "none.ini")]) == EXIT_USAGE
@@ -306,6 +342,15 @@ class TestDeciles:
         err = capsys.readouterr().err
         assert f":4: non-finite return '{cell}' for S04" in err
         assert not (tmp_path / "x_agreement.csv").exists()
+
+    @pytest.mark.parametrize("body", UNREADABLE_CSV_BODIES, ids=["latin1_byte", "huge_field"])
+    def test_unreadable_returns_ingestion_error(self, returns_file, tmp_path, capsys, body):
+        returns_file.write_bytes(returns_file.read_bytes() + b"2005-01-01," + body)
+        assert main(["deciles", str(returns_file), "--deciles", "4",
+                     "--out", str(tmp_path / "x")]) == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert err.startswith(f"ingestion error: cannot read returns file {returns_file}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("deciles", ["1", "-3"])
     def test_deciles_below_two_usage_error(self, returns_file, tmp_path, capsys, deciles):

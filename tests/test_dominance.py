@@ -141,6 +141,16 @@ class TestTSD:
         verdict = tsd_test(ecdf(right), ecdf(left))
         assert verdict.relation is Relation.FIRST_DOMINATES
 
+    def test_dip_inside_a_segment(self):
+        # the twice-integrated difference is >= 0 at every support point and
+        # mean(F) > mean(G), but between 2 and 6 it dips to -1/30 at x = 11/3
+        f = ecdf(DiscreteLottery.from_pairs([(1.0, 0.85), (6.0, 0.15)]))
+        g = ecdf(DiscreteLottery.from_pairs([(0.0, 0.3), (2.0, 0.7)]))
+        verdict = tsd_test(f, g)
+        assert verdict.relation is Relation.NO_DOMINANCE
+        assert verdict.witness == pytest.approx(11 / 3)
+        assert verdict == _tsd_loop_oracle(f, g)
+
 
 class TestMVC:
     def test_table3_verdict(self, table3_lotteries):
@@ -360,11 +370,12 @@ def _spread(values, probs, atoms, widths):
 @st.composite
 def _tsd_pairs(draw):
     """(F, G) step CDFs.  "spreads" splits the even atoms of one base
-    lottery on a unit grid for F and the odd atoms for G, with widths up to
-    1.5 so neighbouring spreads overlap: equal means up to rounding, and a
-    running integral that changes sign on many segments.  The other kinds
-    are identical lotteries, single-point supports, a shift and two
-    independent lotteries."""
+    lottery on an evenly spaced grid (spacing 0.5 to 2) for F and the odd
+    atoms for G, with widths up to 1.5 so that neighbouring spreads often
+    overlap: equal means up to rounding, and a running integral that
+    changes sign on many segments.  The other kinds are identical
+    lotteries, single-point supports, a shift and two independent
+    lotteries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["spreads", "identical", "single", "shift", "independent"]))
     n = int(rng.integers(2, 16))
