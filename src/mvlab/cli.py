@@ -145,14 +145,14 @@ def _verdict_text(v: DominanceVerdict) -> str:
 
 
 def cmd_compare(args) -> int:
-    lottery_a = load_lottery(args.lottery_a)
-    lottery_b = load_lottery(args.lottery_b)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     unknown = [r for r in rules if r not in RULES]
     if unknown:
         raise UsageError(f"unknown rules {unknown}; choose from {','.join(RULES)}")
     if not rules:
         raise UsageError("no rules requested")
+    lottery_a = load_lottery(args.lottery_a)
+    lottery_b = load_lottery(args.lottery_b)
     f, g = ecdf(lottery_a), ecdf(lottery_b)
     verdicts = {}
     for rule in rules:

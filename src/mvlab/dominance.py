@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,28 +177,31 @@ class EmpiricalDistribution:
         out = np.where(idx >= 0, self.cdf[np.maximum(idx, 0)], 0.0)
         return float(out) if np.isscalar(x) else out
 
+    @cached_property
     def _mass_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support points with positive mass and their masses, computed
+        once per instance; not a field, so equality ignores it."""
         p = self.probs
         keep = p > 0.0
         return self.support[keep], p[keep]
 
     def mean(self) -> float:
-        v, p = self._mass_points()
+        v, p = self._mass_points
         return float(np.sum(v * p))
 
     def variance(self) -> float:
-        return central_moments(*self._mass_points())[1]
+        return central_moments(*self._mass_points)[1]
 
     def skewness(self) -> float:
-        _, var, m3, _ = central_moments(*self._mass_points())
+        _, var, m3, _ = central_moments(*self._mass_points)
         return _skewness(var, m3)
 
     def min_value(self) -> float:
-        v, _ = self._mass_points()
+        v, _ = self._mass_points
         return float(v[0])
 
     def max_value(self) -> float:
-        v, _ = self._mass_points()
+        v, _ = self._mass_points
         return float(v[-1])
 
 
@@ -389,12 +394,41 @@ def csv_rows(path, kind: str):
         raise IngestionError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
+def _lottery_block(path) -> DiscreteLottery | None:
+    """The lottery in the block under the header, parsed by NumPy's C
+    reader, or None when the file needs :func:`load_lottery`'s row loop:
+    a ``"`` anywhere (csv and ``loadtxt`` split quoted cells differently),
+    a line of at least csv's field-size limit (``loadtxt`` has none), a
+    cell ``loadtxt`` cannot read, a warning, or a block the lottery
+    rejects."""
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+        longest = np.diff(np.flatnonzero(raw == ord("\n")), prepend=-1, append=raw.size).max()
+        if longest > csv.field_size_limit() or np.any(raw == ord('"')):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=(0, 1), comments=None,
+                ndmin=2, encoding="utf-8",
+            )
+        return DiscreteLottery(block[:, 0], block[:, 1])
+    except (OSError, ValueError, Warning):
+        return None
+
+
 def load_lottery(path) -> DiscreteLottery:
-    """Read a ``value,probability`` CSV into a lottery."""
+    """Read a ``value,probability`` CSV into a lottery.  The block under
+    the header goes through :func:`_lottery_block` first; the row loop
+    reads only the files it hands back, and names every error."""
     records = csv_rows(path, "lottery")
     header = next(records)
     if header is None or [h.strip().lower() for h in header[:2]] != ["value", "probability"]:
         raise IngestionError(f"{path}: expected header 'value,probability', got {header}")
+    lottery = _lottery_block(path)
+    if lottery is not None:
+        records.close()
+        return lottery
     values = []
     probs = []
     for row_no, row in records:

@@ -34,8 +34,14 @@ def table3_files(tmp_path):
     return f, g
 
 
-# a cell that is not UTF-8, and one longer than the csv module's field limit
-UNREADABLE_CSV_BODIES = [b"10,0.6 caf\xe9\n", b"10," + b"1" * 131_073 + b"\n"]
+# a cell that is not UTF-8, and two longer than the csv module's field limit:
+# one that parses to inf and one that parses to a finite 0.0
+UNREADABLE_CSV_BODIES = [
+    b"10,0.6 caf\xe9\n",
+    b"10," + b"1" * 131_073 + b"\n",
+    b"0." + b"0" * 131_071 + b",0.6\n",
+]
+UNREADABLE_CSV_IDS = ["latin1_byte", "huge_field", "huge_finite_field"]
 
 
 def _small_config(tmp_path, n_obs=2000, n_pairs=3, seed=99):
@@ -85,6 +91,12 @@ class TestCompare:
         z1, z2 = lottery_files
         assert main(["compare", str(z1), str(z2), "--rules", "zzz"]) == EXIT_USAGE
 
+    def test_unknown_rule_checked_before_loading(self, tmp_path, lottery_files, capsys):
+        _, z2 = lottery_files
+        argv = ["compare", str(tmp_path / "nope.csv"), str(z2), "--rules", "fsd,zzz"]
+        assert main(argv) == EXIT_USAGE
+        assert "unknown rules ['zzz']" in capsys.readouterr().err
+
     def test_missing_file_ingestion_error(self, tmp_path, lottery_files):
         z1, _ = lottery_files
         assert main(["compare", str(z1), str(tmp_path / "nope.csv")]) == EXIT_INGESTION
@@ -98,7 +110,7 @@ class TestCompare:
         assert "probabilities must be finite" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("body", UNREADABLE_CSV_BODIES, ids=["latin1_byte", "huge_field"])
+    @pytest.mark.parametrize("body", UNREADABLE_CSV_BODIES, ids=UNREADABLE_CSV_IDS)
     def test_unreadable_lottery_ingestion_error(self, lottery_files, tmp_path, capsys, body):
         z1, _ = lottery_files
         bad = tmp_path / "bad.csv"
@@ -343,7 +355,7 @@ class TestDeciles:
         assert f":4: non-finite return '{cell}' for S04" in err
         assert not (tmp_path / "x_agreement.csv").exists()
 
-    @pytest.mark.parametrize("body", UNREADABLE_CSV_BODIES, ids=["latin1_byte", "huge_field"])
+    @pytest.mark.parametrize("body", UNREADABLE_CSV_BODIES, ids=UNREADABLE_CSV_IDS)
     def test_unreadable_returns_ingestion_error(self, returns_file, tmp_path, capsys, body):
         returns_file.write_bytes(returns_file.read_bytes() + b"2005-01-01," + body)
         assert main(["deciles", str(returns_file), "--deciles", "4",

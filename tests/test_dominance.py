@@ -1,6 +1,9 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvlab.dominance import (
     TOL,
@@ -12,6 +15,7 @@ from mvlab.dominance import (
     Order,
     Relation,
     SKEWNESS_CONDITION,
+    csv_rows,
     ecdf,
     fsd_test,
     load_lottery,
@@ -82,6 +86,13 @@ class TestEcdf:
             EmpiricalDistribution(np.array([1.0, 2.0]), np.array([0.7, 0.5]))
         with pytest.raises(ParameterError):
             EmpiricalDistribution(np.array([1.0, 2.0]), np.array([0.5, 0.9]))
+
+    def test_moments_skip_zero_mass_points(self):
+        # the cached mass points are not a field, so equality ignores them
+        dist = EmpiricalDistribution(np.array([0.0, 1.0, 3.0, 4.0]), np.array([0, 0.5, 0.5, 1]))
+        assert (dist.min_value(), dist.max_value()) == (1.0, 4.0)
+        assert (dist.mean(), dist.variance(), dist.skewness()) == (2.5, 2.25, 0.0)
+        assert [f.name for f in dataclasses.fields(dist)] == ["support", "cdf"]
 
 
 class TestFSD:
@@ -275,6 +286,103 @@ class TestLotteryCsv:
         with pytest.raises(IngestionError) as info:
             load_lottery(path)
         assert str(info.value) == message.format(path=path)
+
+
+def _load_lottery_row_loop(path) -> DiscreteLottery:
+    """``load_lottery`` as it was before the ``loadtxt`` fast path, kept
+    verbatim as the oracle for every file."""
+    records = csv_rows(path, "lottery")
+    header = next(records)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["value", "probability"]:
+        raise IngestionError(f"{path}: expected header 'value,probability', got {header}")
+    values = []
+    probs = []
+    for row_no, row in records:
+        if len(row) < 2:
+            raise IngestionError(f"{path}:{row_no}: expected two columns")
+        try:
+            values.append(float(row[0]))
+            probs.append(float(row[1]))
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{row_no}: {exc}") from exc
+    if not values:
+        raise IngestionError(f"{path}: no outcomes found")
+    try:
+        return DiscreteLottery(np.array(values), np.array(probs))
+    except ParameterError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+
+
+CSV_TOKENS = list("0123456789.e-+_, \t\"#\r\n") + ["nan", "inf"]
+CSV_NOISE = st.lists(st.sampled_from(CSV_TOKENS), max_size=12).map("".join)
+LOTTERY_HEADERS = [
+    "value,probability", " Value ,PROBABILITY", "value,probability,extra",
+    "value,probability,", '"value","probability"', 'value,probability,"',
+    '"value,probability"', 'value,"probability,x"', "value", "probability,value",
+]
+
+
+@st.composite
+def _dyadic_probs(draw):
+    """Probabilities that sum to exactly 1: repeated halvings of 1."""
+    probs = [1.0]
+    for _ in range(draw(st.integers(0, 5))):
+        probs.extend([probs.pop(draw(st.integers(0, len(probs) - 1))) / 2.0] * 2)
+    return probs
+
+
+@st.composite
+def lottery_csv_texts(draw):
+    """Lottery files, half of them clean (assorted number spellings of a
+    dyadic lottery under a header that may be odd) and half messy (with
+    cells and rows from the characters csv and ``loadtxt`` treat
+    differently)."""
+    clean = draw(st.booleans())
+    number = st.one_of(
+        st.builds(repr, st.floats(-1e6, 1e6, allow_nan=False)),
+        st.builds("{:.3e}".format, st.floats(-1e6, 1e6, allow_nan=False)),
+        st.builds(str, st.integers(-999, 999)),
+    )
+    special = st.sampled_from(["+.5", " 2 ", "\t3", "-0", "1_000", "1e400", "nan", ""])
+    cell = number if clean else st.one_of(number, special, CSV_NOISE)
+    extra = st.just("") | (st.just("") if clean else CSV_NOISE).map(",".__add__)
+    rows = []
+    for prob in draw(_dyadic_probs()):
+        spelling = draw(st.sampled_from(["{!r}", "{:.17g}", " {} ", "{:e}"])).format(prob)
+        if draw(st.sampled_from([False, False, False, True])):
+            spelling = draw(cell)
+        rows.append(draw(cell) + "," + spelling + draw(extra))
+    for _ in range(draw(st.integers(0, 0 if clean else 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(CSV_NOISE))
+    header = draw(st.sampled_from(["value,probability"] * 10 + LOTTERY_HEADERS)) + draw(extra)
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in [header, *rows])
+
+
+@given(text=lottery_csv_texts())
+@example(text='value,probability,"\n5,0.4,"\n1,0.6\n')
+@example(text="value,probability\n\r\n")
+@settings(max_examples=400, deadline=None)
+def test_load_lottery_matches_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential_lottery.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = load_lottery(path)
+        except IngestionError as exc:
+            got = str(exc)
+    assert caught == []
+    try:
+        want = _load_lottery_row_loop(path)
+    except IngestionError as exc:
+        want = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, DiscreteLottery)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.probs, want.probs)
 
 
 @st.composite
