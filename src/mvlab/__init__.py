@@ -76,6 +76,7 @@ from .utilities import (
     expected_quadratic,
     expected_utility,
     over_clamp_budget,
+    panel_expected_utility,
     sample_expected_utility,
     table6_panel,
     taylor2,

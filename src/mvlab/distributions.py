@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import InfeasibleTargetError, ParameterError, UnsupportedFamilyError
 from .rng import spawn_rng
@@ -341,6 +341,33 @@ def _solve_skew_normal(target: MomentTarget) -> SkewNormalParams:
     return SkewNormalParams(xi=xi, omega=omega, shape=shape)
 
 
+def _bisect(f, xa: float, xb: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon,
+            maxiter: int = 100) -> float:
+    """Root of f on [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    A port of SciPy's C ``bisect`` loop, step for step, so the result is
+    bit-identical to ``scipy.optimize.bisect`` without importing SciPy
+    (about 0.6 s at start-up).  Like SciPy, it keeps f(xa) from the start.
+    """
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise InfeasibleTargetError(f"bisection bracket [{xa}, {xb}] holds no sign change")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise InfeasibleTargetError(f"bisection did not converge in {maxiter} iterations")
+
+
 @lru_cache(maxsize=256)
 def _solve_gev_shape(skew: float) -> float:
     """Shape whose GEV skewness equals ``skew``, residual below 1e-10."""
@@ -353,7 +380,7 @@ def _solve_gev_shape(skew: float) -> float:
             f"gev target skewness {skew} outside solvable range "
             f"({s_lo:.6f}, {s_hi:.6f}) for shape in (-1/3, 1/3)"
         )
-    shape = float(bisect(lambda k: gev_skewness(k) - skew, lo, hi, xtol=1e-15))
+    shape = float(_bisect(lambda k: gev_skewness(k) - skew, lo, hi, xtol=1e-15))
     residual = abs(gev_skewness(shape) - skew)
     if residual > 1e-10:
         raise InfeasibleTargetError(

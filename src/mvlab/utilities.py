@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -47,14 +47,33 @@ class Expansion(str, enum.Enum):
 @dataclass(frozen=True)
 class _Family:
     """One family: the parameter rule 0 < a < a_max, and the open domain
-    edge in z (-inf for all reals), U, (U', U'', U''') and ARA as functions
-    of a and, but for the edge, of an array z inside the domain."""
+    edge in z (-inf for all reals), (U', U'', U''') and ARA as functions
+    of a and, but for the edge, of an array z inside the domain.
+
+    U is ``sign * finish(a, transform(z), out)``.  ``transform`` does not
+    depend on a, so a panel takes it once per sample and domain edge;
+    ``finish`` writes into ``out``, which a panel reuses across utilities."""
 
     a_max: float
     domain_min: Callable
-    value: Callable
+    transform: Callable
+    finish: Callable
+    sign: float
     derivatives: Callable
     ara: Callable
+
+    def value(self, a, z):
+        t = self.transform(z)
+        out = np.empty_like(t, dtype=float)  # finish and the sign work in place
+        self.finish(a, t, out)
+        out *= self.sign
+        return out
+
+
+def _exp_of_scaled(scale: float) -> Callable:
+    """finish(a, t, out) = exp(scale*a*t).  Multiplication commutes exactly,
+    so ``np.multiply(t, scale*a)`` equals the textbook ``scale*a*t`` bit for bit."""
+    return lambda a, t, out: np.exp(np.multiply(t, scale * a, out=out), out=out)
 
 
 def _power_of_1pz(sign: float, a_max: float) -> _Family:
@@ -70,7 +89,7 @@ def _power_of_1pz(sign: float, a_max: float) -> _Family:
         return k1 * w ** (p - 1.0), k2 * w ** (p - 2.0), k3 * w ** (p - 3.0)
 
     return _Family(
-        a_max, lambda a: -1.0, lambda a, z: sign * np.exp(sign * a * np.log1p(z)),
+        a_max, lambda a: -1.0, np.log1p, _exp_of_scaled(sign), sign,
         derivatives, lambda a, z: (1.0 - sign * a) / (1.0 + z),
     )
 
@@ -80,15 +99,24 @@ def _neg_exp_derivatives(a, z):
     return a * e, -a * a * e, a**3 * e
 
 
+def _identity(z):
+    return z
+
+
+def _one_plus(z):
+    return 1.0 + z
+
+
 _FAMILIES = {
     UtilityFamily.POWER: _power_of_1pz(1.0, a_max=1.0),
     UtilityFamily.LOG: _Family(
-        math.inf, lambda a: -a, lambda a, z: np.log(a + z),
+        math.inf, lambda a: -a, _identity,
+        lambda a, t, out: np.log(np.add(t, a, out=out), out=out), 1.0,
         lambda a, z: (1.0 / (a + z), -1.0 / (a + z) ** 2, 2.0 / (a + z) ** 3),
         lambda a, z: 1.0 / (a + z),
     ),
     UtilityFamily.NEG_EXP: _Family(
-        math.inf, lambda a: -math.inf, lambda a, z: -np.exp(-a * (1.0 + z)),
+        math.inf, lambda a: -math.inf, _one_plus, _exp_of_scaled(-1.0), -1.0,
         _neg_exp_derivatives, lambda a, z: np.full_like(z, a),
     ),
     UtilityFamily.NEG_POWER: _power_of_1pz(-1.0, a_max=math.inf),
@@ -228,19 +256,68 @@ def clamped_utility(spec: UtilitySpec, x: np.ndarray) -> tuple[np.ndarray, np.nd
     mask being None when no draw was moved.  Whether the sample may be
     evaluated at all is :func:`over_clamp_budget` of the moved count.
     """
-    lo, value = spec.domain_min, _FAMILIES[spec.family].value
+    moved, bad = _clamp(x, spec.domain_min)
+    return _FAMILIES[spec.family].value(spec.a, moved), bad
+
+
+def _clamp(x: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """(x with the draws at or below the edge ``lo`` moved to lo + 1e-6,
+    boolean mask of the moved draws or None when none moved)."""
     if lo == -math.inf:
-        return value(spec.a, x), None
+        return x, None
     bad = x <= lo
     if not bad.any():
-        return value(spec.a, x), None
-    return value(spec.a, np.where(bad, lo + _CLAMP_OFFSET, x)), bad
+        return x, None
+    return np.where(bad, lo + _CLAMP_OFFSET, x), bad
 
 
 def over_clamp_budget(n_clamped, n_draws, max_clamped_fraction: float = CLAMP_BUDGET):
     """True where more than ``max_clamped_fraction`` of ``n_draws`` draws
     needed clamping; elementwise on arrays of counts."""
     return n_clamped > max_clamped_fraction * n_draws
+
+
+def panel_expected_utility(
+    sample: np.ndarray,
+    panel: Iterable[UtilitySpec],
+    max_clamped_fraction: float = CLAMP_BUDGET,
+) -> list[tuple[float, int]]:
+    """Equal-weight expected utility of one sample under every utility of
+    ``panel``: [(expected utility, number of clamped draws), ...] in panel
+    order, each as :func:`sample_expected_utility` defines it.
+
+    The draws are clamped once per distinct domain edge and each family's
+    a-free transform is taken once per edge, so the power and neg_power
+    rows share one ``log1p``.  Each utility is finished in one reused
+    buffer, and its sign is applied to the mean: negation is exact, so
+    -mean(u) == mean(-u) bit for bit.  Raises DomainError for the first
+    utility, in panel order, whose clamping budget is exceeded.
+    """
+    x = np.asarray(sample, dtype=float).ravel()
+    if x.size == 0:
+        raise ParameterError("expected utility requires a non-empty sample")
+    clamped: dict[float, tuple[np.ndarray, int]] = {}
+    transformed: dict[tuple[float, Callable], np.ndarray] = {}
+    out = np.empty_like(x)
+    results = []
+    for spec in panel:
+        family, lo = _FAMILIES[spec.family], spec.domain_min
+        if lo not in clamped:
+            z, bad = _clamp(x, lo)
+            clamped[lo] = z, 0 if bad is None else int(np.count_nonzero(bad))
+        z, n_clamped = clamped[lo]
+        if over_clamp_budget(n_clamped, x.size, max_clamped_fraction):
+            raise DomainError(
+                f"{n_clamped}/{x.size} draws below the domain edge of "
+                f"{spec.identifier} exceeds the clamping budget "
+                f"({max_clamped_fraction:g})"
+            )
+        key = (lo, family.transform)
+        if key not in transformed:
+            transformed[key] = family.transform(z)
+        family.finish(spec.a, transformed[key], out)
+        results.append((family.sign * float(np.mean(out)), n_clamped))
+    return results
 
 
 def sample_expected_utility(
@@ -254,18 +331,7 @@ def sample_expected_utility(
     below the domain edge are moved to edge + 1e-6; more than
     ``max_clamped_fraction`` of them fails the evaluation.
     """
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size == 0:
-        raise ParameterError("expected utility requires a non-empty sample")
-    values, clamped = clamped_utility(spec, x)
-    n_clamped = 0 if clamped is None else int(np.count_nonzero(clamped))
-    if over_clamp_budget(n_clamped, x.size, max_clamped_fraction):
-        raise DomainError(
-            f"{n_clamped}/{x.size} draws below the domain edge of "
-            f"{spec.identifier} exceeds the clamping budget "
-            f"({max_clamped_fraction:g})"
-        )
-    return float(np.mean(values)), n_clamped
+    return panel_expected_utility(sample, (spec,), max_clamped_fraction)[0]
 
 
 def expected_utility(outcomes, spec: UtilitySpec) -> float:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mvlab
 
 from mvlab.cli import (
     EXIT_DOMAIN,
@@ -369,3 +376,15 @@ class TestDeciles:
         assert main(["deciles", str(returns_file), "--deciles", deciles,
                      "--out", str(tmp_path / "x")]) == EXIT_USAGE
         assert f"--deciles must be >= 2, got {deciles}" in capsys.readouterr().err
+
+
+def test_start_up_imports_no_scipy():
+    # SciPy's import alone took about 0.6 s of every command's start-up
+    src = str(Path(mvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, mvlab.cli; mvlab.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats as scipy_stats
+from scipy import optimize as scipy_optimize, stats as scipy_stats
 
 from mvlab.distributions import (
+    _GEV_SHAPE_HI,
+    _GEV_SHAPE_LO,
     Family,
     GEVParams,
     GUMBEL_SKEW,
@@ -14,6 +16,8 @@ from mvlab.distributions import (
     NormalParams,
     SkewNormalParams,
     StableParams,
+    _bisect,
+    _solve_gev_shape,
     gev_skewness,
     gls_coefficients,
     moments,
@@ -198,6 +202,22 @@ class TestSolver:
         ks = np.linspace(-1 / 3 + 1e-6, 1 / 3 - 1e-6, 60)
         skews = [gev_skewness(float(k)) for k in ks]
         assert all(a < b for a, b in zip(skews, skews[1:]))
+
+    def test_gev_shape_bisection_matches_scipy(self):
+        lo, hi = _GEV_SHAPE_LO, _GEV_SHAPE_HI
+        grid = np.linspace(gev_skewness(lo), 10.0, 65)[1:]
+        for skew in [float(s) for s in grid] + [0.35, 0.525, 1.05, 100.0]:
+            def f(k):
+                return gev_skewness(k) - skew
+            root = scipy_optimize.bisect(f, lo, hi, xtol=1e-15)
+            assert _bisect(f, lo, hi, xtol=1e-15) == root
+            assert _solve_gev_shape(skew) == root
+
+    def test_bisection_failures(self):
+        with pytest.raises(InfeasibleTargetError, match="no sign change"):
+            _bisect(lambda x: x + 2.0, 0.0, 1.0, xtol=1e-12)
+        with pytest.raises(InfeasibleTargetError, match="did not converge in 5"):
+            _bisect(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-12, maxiter=5)
 
     @pytest.mark.parametrize("family", [Family.SKEW_NORMAL, Family.GEV])
     @pytest.mark.parametrize("skew", [0.2, 0.6, 0.9])

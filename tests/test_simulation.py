@@ -1,12 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from mvlab import simulation
-from mvlab.distributions import Family, MomentTarget, NormalParams, moments, sample
+from mvlab.distributions import (
+    Family,
+    MomentTarget,
+    NormalParams,
+    StableParams,
+    moments,
+    sample,
+    sample_with_rng,
+)
 from mvlab.errors import GenerationError, ParameterError, UsageError
 from mvlab.simulation import (
+    _STREAM_PARAMS,
+    _STREAM_Z1,
+    _STREAM_Z2,
     DEFAULT_MASTER_SEED,
+    STABLE_SKEW_1_WINDOW,
+    STABLE_SKEW_2_WINDOW,
+    STABLE_STABILITY_WINDOW,
     ScenarioSpec,
+    _draw,
     _solvable_targets,
     correlation_study,
     default_scenarios,
@@ -264,6 +281,88 @@ class TestAttemptLoop:
         assert created == [3]
         assert capped.success_pct == serial.success_pct
         assert capped.n_regenerations == serial.n_regenerations
+
+
+def _attempt_stable_two_draws(spec, pair_index, attempt):
+    # verbatim copy of _attempt_stable before its early exit: both noise
+    # samples are drawn before either skewness is checked
+    rng = spawn_rng(spec.master_seed, _STREAM_PARAMS, pair_index, attempt)
+    r_mean = _draw(spec.mean_ratio, rng)
+    r_std = _draw(spec.std_ratio, rng)
+    stability = float(rng.uniform(*STABLE_STABILITY_WINDOW))
+    beta_1 = float(rng.uniform(*STABLE_SKEW_1_WINDOW))
+    beta_2 = float(rng.uniform(*STABLE_SKEW_2_WINDOW))
+    noise_1 = sample_with_rng(
+        StableParams(stability, beta_1, 1.0, 0.0),
+        spec.n_obs,
+        spawn_rng(spec.master_seed, _STREAM_Z1, pair_index, attempt),
+    )
+    noise_2 = sample_with_rng(
+        StableParams(stability, beta_2, 1.0, 0.0),
+        spec.n_obs,
+        spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt),
+    )
+    noise_m1 = moments(noise_1)
+    if spec.skew_ratio is not None:
+        skew_1 = noise_m1.skewness
+        skew_2 = moments(noise_2).skewness
+        if skew_1 <= 0.0 or skew_2 <= 0.0:
+            return None
+        lo, hi = spec.skew_ratio
+        if not lo <= skew_2 / skew_1 <= hi:
+            return None
+    scale_2 = spec.base.std / math.sqrt(2.0)
+    z2 = spec.base.mean + scale_2 * noise_2
+    m2 = moments(z2)
+    if m2.mean <= 0.0 or m2.std == 0.0 or noise_m1.std == 0.0:
+        return None
+    scale_1 = m2.std / (r_std * noise_m1.std)
+    location_1 = r_mean * m2.mean - scale_1 * noise_m1.mean
+    z1 = location_1 + scale_1 * noise_1
+    return z1, z2, moments(z1), m2
+
+
+class TestAttemptStableEarlyExit:
+    @pytest.mark.parametrize("skew_ratio", [(1.5, 3.0), None], ids=["banded", "unbanded"])
+    def test_matches_two_draw_attempt(self, skew_ratio):
+        spec = _spec(
+            family=Family.STABLE, mean_ratio=(1.01, 1.1), std_ratio=(1.01, 1.1),
+            skew_ratio=skew_ratio, base=MomentTarget(0.01, 0.03, 0.2), n_obs=1000,
+        )
+        rejected = 0
+        for pair_index in range(12):
+            for attempt in range(12):
+                got = simulation._attempt_stable(spec, pair_index, attempt)
+                want = _attempt_stable_two_draws(spec, pair_index, attempt)
+                assert (got is None) == (want is None)
+                if got is None:
+                    rejected += 1
+                    continue
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got[2:] == want[2:]
+        assert 0 < rejected < 144 if skew_ratio else rejected == 0
+
+    def test_z2_not_drawn_after_nonpositive_skew(self, monkeypatch):
+        spec = _spec(
+            family=Family.STABLE, mean_ratio=1.05, std_ratio=1.05, skew_ratio=(1.5, 3.0),
+            base=MomentTarget(0.01, 0.03, 0.2), n_obs=1000,
+        )
+        draws = []
+        sampler = simulation.sample_with_rng
+
+        def recording_sampler(params, n, rng):
+            draws.append(sampler(params, n, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(simulation, "sample_with_rng", recording_sampler)
+        early = 0
+        for pair_index in range(4):
+            for attempt in range(50):
+                draws.clear()
+                simulation._attempt_stable(spec, pair_index, attempt)
+                assert len(draws) == (1 if moments(draws[0]).skewness <= 0.0 else 2)
+                early += len(draws) == 1
+        assert early > 0
 
 
 class TestMonotonicity:

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvlab.cli import CLASSIC_UTILITIES
-from mvlab.distributions import NormalParams, moments, sample
+from mvlab.distributions import (
+    GEVParams,
+    LaplaceParams,
+    NormalParams,
+    SkewNormalParams,
+    StableParams,
+    moments,
+    sample,
+)
 from mvlab.dominance import DiscreteLottery
 from mvlab.errors import DomainError, ParameterError
 from mvlab.utilities import (
@@ -19,6 +27,7 @@ from mvlab.utilities import (
     expected_quadratic,
     expected_utility,
     over_clamp_budget,
+    panel_expected_utility,
     round_half_away_from_zero,
     sample_expected_utility,
     table6_panel,
@@ -356,6 +365,66 @@ class TestFamilyTableOracle:
             assert derivs == tuple(float(u) for u in _oracle_derivatives(spec, arr))
             risk = ara(spec, z)
             assert type(risk) is float and risk == float(_oracle_ara(spec, arr))
+
+
+_PANEL_SAMPLES = {
+    "normal": NormalParams(0.01, 0.08),
+    "laplace": LaplaceParams(0.01, 0.05),
+    "skew_normal": SkewNormalParams(-0.05, 0.1, 3.0),
+    "gev": GEVParams(0.0, 0.1, 0.1),
+    "stable": StableParams(1.8, 0.5, 0.02, 0.01),
+}
+
+
+def _oracle_sample_eu(x, spec):
+    # the evaluation as it was before the panel evaluator: clamp, the
+    # textbook formula on the whole array, then its mean
+    lo = _oracle_domain_min(spec)
+    bad = x <= lo
+    return float(np.mean(_oracle_value(spec, np.where(bad, lo + 1e-6, x)))), int(bad.sum())
+
+
+class TestPanelEvaluator:
+    PANEL = table6_panel() + CLASSIC_UTILITIES
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    @pytest.mark.parametrize("family", sorted(_PANEL_SAMPLES))
+    def test_bit_identical_to_one_utility_evaluation(self, family, n):
+        x = sample(_PANEL_SAMPLES[family], n, seed=31)
+        got = panel_expected_utility(x, self.PANEL)
+        assert got == [sample_expected_utility(x, u) for u in self.PANEL]
+        assert got == [_oracle_sample_eu(x, u) for u in self.PANEL]
+        assert all(type(eu) is float and type(k) is int for eu, k in got)
+
+    def test_clamp_counts_per_domain_edge(self):
+        x = sample(NormalParams(0.01, 0.08), 100_000, seed=32)
+        x[:7] = [-1.0, -1.0, -1.5, -3.0, -0.95, -0.9, -0.999]  # budget: 10 draws
+        got = panel_expected_utility(x, self.PANEL)
+        assert got == [sample_expected_utility(x, u) for u in self.PANEL]
+        assert got == [_oracle_sample_eu(x, u) for u in self.PANEL]
+        want = {"power": 4, "neg_power": 4, "neg_exp": 0, "log:1": 4, "log:0.9": 7}
+        for u, (_, n_clamped) in zip(self.PANEL, got):
+            assert n_clamped == want.get(u.identifier, want.get(u.family.value))
+
+    @pytest.mark.parametrize("offender, first_id", [(-0.95, "log:0.9"), (-1.0, "power:0.01")])
+    def test_over_budget_names_first_utility_in_panel_order(self, offender, first_id):
+        x = np.full(100_000, 0.01)
+        x[:11] = offender  # budget: 10 draws
+        k = [u.identifier for u in self.PANEL].index(first_id)
+        for u in self.PANEL[:k]:
+            sample_expected_utility(x, u)
+        with pytest.raises(DomainError) as single:
+            sample_expected_utility(x, self.PANEL[k])
+        with pytest.raises(DomainError) as panel:
+            panel_expected_utility(x, self.PANEL)
+        assert str(panel.value) == str(single.value)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ParameterError, match="non-empty sample"):
+            panel_expected_utility(np.array([]), self.PANEL)
+
+    def test_empty_panel(self):
+        assert panel_expected_utility(np.zeros(3), []) == []
 
 
 class TestExpectedQuadratic:
