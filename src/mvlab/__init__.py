@@ -62,7 +62,9 @@ from .simulation import (
     evaluate_pair,
     generate_mv_pair,
     load_scenario_config,
+    pair_results,
     run_scenario,
+    run_scenarios,
     scenario_config_text,
 )
 from .utilities import (

@@ -41,6 +41,7 @@ from .simulation import (
     default_scenarios,
     format_interval,
     load_scenario_config,
+    pair_results,
     run_scenario,
     scenario_config_text,
 )
@@ -292,32 +293,37 @@ def cmd_simulate(args) -> int:
         "n_regenerations",
     ]
     rows = []
-    for spec in scenarios:
-        report = run_scenario(spec, panel, workers=args.workers)
-        for utility in panel:
-            uid = utility.identifier
-            rows.append(
-                (
-                    spec.scenario_id,
-                    spec.family.value,
-                    format_interval(spec.mean_ratio),
-                    format_interval(spec.std_ratio),
-                    format_interval(spec.skew_ratio),
-                    uid,
-                    utility.a,
-                    report.success_pct[uid],
-                    report.n_pairs_run,
-                    report.n_regenerations,
+    # One pool for the whole run; each cell is aggregated by its own
+    # run_scenario call as its last pair comes in.  The call stays here,
+    # not inside run_scenarios, because bench/tracing.py counts each
+    # cell's pairs and regenerations at mvlab.cli.run_scenario.
+    with pair_results(scenarios, panel, workers=args.workers) as results:
+        for spec in scenarios:
+            report = run_scenario(spec, panel, results=results)
+            for utility in panel:
+                uid = utility.identifier
+                rows.append(
+                    (
+                        spec.scenario_id,
+                        spec.family.value,
+                        format_interval(spec.mean_ratio),
+                        format_interval(spec.std_ratio),
+                        format_interval(spec.skew_ratio),
+                        uid,
+                        utility.a,
+                        report.success_pct[uid],
+                        report.n_pairs_run,
+                        report.n_regenerations,
+                    )
                 )
+            low = min(report.success_pct, key=report.success_pct.get)
+            print(
+                f"{spec.scenario_id}: {report.n_pairs_run} pairs, "
+                f"{report.n_regenerations} regenerations, lowest success "
+                f"{report.success_pct[low]:.1f}% ({low})"
             )
-        low = min(report.success_pct, key=report.success_pct.get)
-        print(
-            f"{spec.scenario_id}: {report.n_pairs_run} pairs, "
-            f"{report.n_regenerations} regenerations, lowest success "
-            f"{report.success_pct[low]:.1f}% ({low})"
-        )
-        for note in report.diagnostics:
-            print(f"  diagnostic: {note}")
+            for note in report.diagnostics:
+                print(f"  diagnostic: {note}")
     manifest = RunManifest.create(
         "simulate",
         config_path=args.config,

@@ -15,12 +15,14 @@ bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import logging
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -324,32 +326,97 @@ def run_scenario(
     spec: ScenarioSpec,
     utilities: list[UtilitySpec],
     workers: int = 1,
+    results: Iterator[tuple[dict[str, bool], int]] | None = None,
 ) -> ScenarioReport:
     """Run every pair of the cell and aggregate per-utility success rates.
 
-    The result is bit-identical for a fixed spec regardless of
-    ``workers``: pair streams depend only on (master_seed, pair_index,
-    attempt) and aggregation is exact integer counting in index order.
-    ``workers`` is capped at the machine's CPU count.
+    On its own this is the one-cell case of :func:`run_scenarios`: the
+    cell's pairs are mapped over :func:`pair_results`, so the pool is
+    capped at ``min(workers, os.cpu_count(), spec.n_pairs)`` processes,
+    and there is no pool at all when that cap is 1.  Inside a run,
+    ``results`` is the run's shared :func:`pair_results` iterator,
+    positioned at this cell's first pair; the cell takes its
+    ``spec.n_pairs`` results from it and ``workers`` is not used.  The
+    result is bit-identical for a fixed spec regardless of ``workers``:
+    pair streams depend only on (master_seed, pair_index, attempt) and
+    aggregation is exact integer counting in index order.
     """
     utilities = list(utilities)
-    if not utilities:
-        raise ParameterError("run_scenario needs at least one utility")
     if spec.skew_ratio is not None and not spec._needs_skew():
         log.info(
             "scenario %s: %s is symmetric, skew ratio ignored",
             spec.scenario_id,
             spec.family.value,
         )
-    task = partial(_run_pair, spec, tuple(utilities))
-    indices = range(spec.n_pairs)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, spec.n_pairs // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, indices, chunksize=chunk))
-    else:
-        results = [task(i) for i in indices]
+    if results is None:
+        with pair_results([spec], utilities, workers) as own:
+            return _scenario_report(spec, utilities, own)
+    return _scenario_report(spec, utilities, islice(results, spec.n_pairs))
+
+
+def run_scenarios(
+    specs: list[ScenarioSpec],
+    utilities: list[UtilitySpec],
+    workers: int = 1,
+) -> Iterator[ScenarioReport]:
+    """Yield one :class:`ScenarioReport` per cell, in ``specs`` order, each
+    as soon as the cell's last pair is in.
+
+    All cells share one :func:`pair_results` pool, so no cell waits for
+    the tail of the one before it.  An empty ``utilities`` raises
+    :class:`ParameterError` here, not at the first report.
+    """
+    specs, utilities = list(specs), list(utilities)
+    _require_utilities(utilities)
+    return _shared_pool_reports(specs, utilities, workers)
+
+
+def _shared_pool_reports(specs, utilities, workers) -> Iterator[ScenarioReport]:
+    with pair_results(specs, utilities, workers) as results:
+        for spec in specs:
+            yield run_scenario(spec, utilities, results=results)
+
+
+@contextlib.contextmanager
+def pair_results(
+    specs: list[ScenarioSpec],
+    utilities: list[UtilitySpec],
+    workers: int = 1,
+) -> Iterator[Iterator[tuple[dict[str, bool], int]]]:
+    """Map every (cell, pair_index) of a run over one process pool.
+
+    Yields an iterator over the (per-utility agreement, regenerations)
+    result of every pair, cell by cell in ``specs`` order and by pair
+    index within a cell.  The pool has ``min(workers, os.cpu_count(),
+    total pairs)`` processes; when that is 1 the pairs run in this
+    process as they are read.  On leaving the block the queued tasks
+    are cancelled before the pool shuts down, so when a pair raises (a
+    :class:`GenerationError` at the attempt cap, or any other error)
+    the later cells' pairs are not run.
+    """
+    utilities = tuple(utilities)
+    _require_utilities(utilities)
+    pair_specs = [spec for spec in specs for _ in range(spec.n_pairs)]
+    pair_indices = [i for spec in specs for i in range(spec.n_pairs)]
+    workers = min(workers, os.cpu_count() or 1, len(pair_specs))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        # One pair per task: pairs of different cells differ up to tenfold
+        # in cost, so multi-pair chunks leave a worker idle at the end.
+        yield (pool.map if pool else map)(
+            _run_pair, pair_specs, repeat(utilities), pair_indices
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _require_utilities(utilities) -> None:
+    if not utilities:
+        raise ParameterError("a scenario run needs at least one utility")
+
+
+def _scenario_report(spec: ScenarioSpec, utilities, results) -> ScenarioReport:
     counts = {u.identifier: 0 for u in utilities}
     regenerations = 0
     diagnostics: list[str] = []

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +306,102 @@ class TestSimulate:
         config.write_text(config.read_text().replace("base_mean = 0.01", "base_mean = -0.5"))
         assert main(["simulate", str(config)]) == EXIT_GENERATION
         assert "2-attempt generation cap" in capsys.readouterr().err
+
+    def test_failing_cell_stops_the_shared_pool(self, tmp_path, monkeypatch, capsys):
+        from mvlab import simulation
+
+        # the workers are forked, so each attempt appends to a file
+        marker = tmp_path / "attempts.log"
+        attempt_solvable = simulation._attempt_solvable
+
+        def marked_attempt(spec, pair_index, attempt):
+            with open(marker, "a", encoding="utf-8") as handle:
+                handle.write(f"{spec.scenario_id}\n")
+            return attempt_solvable(spec, pair_index, attempt)
+
+        monkeypatch.setattr(simulation, "_attempt_solvable", marked_attempt)
+        cell = dict(
+            family=Family.NORMAL, mean_ratio=1.05, std_ratio=1.05,
+            base=MomentTarget(0.01, 0.008), n_obs=2000, n_pairs=3, master_seed=99,
+        )
+        # a negative base mean scaled up by mean_ratio: every attempt misses MV
+        doomed = ScenarioSpec(
+            scenario_id="doomed", **{**cell, "base": MomentTarget(-0.5, 0.001), "n_pairs": 24}
+        )
+        later = [ScenarioSpec(scenario_id=f"later{k}", **cell) for k in range(2)]
+        config = tmp_path / "grid.ini"
+        config.write_text(scenario_config_text([doomed, *later]))
+        outcomes = []
+        for workers in ("1", "2"):
+            marker.unlink(missing_ok=True)
+            code = main(["simulate", str(config), "--workers", workers])
+            outcomes.append((code, capsys.readouterr()))
+            assert set(marker.read_text().split()) == {"doomed"}, workers
+        (code_1, out_1), (code_2, out_2) = outcomes
+        assert code_1 == code_2 == EXIT_GENERATION
+        assert out_1.err == out_2.err
+        assert "pair 0 exceeded the 100-attempt generation cap" in out_1.err
+        assert out_1.out == out_2.out == ""
+
+    def test_one_pool_and_one_run_scenario_call_per_cell(self, tmp_path, monkeypatch, capsys):
+        from mvlab import cli, simulation
+
+        # cmd_simulate looks run_scenario up at mvlab.cli once per cell, so a
+        # wrapper placed there sees every cell's report
+        pools, reports = [], []
+        real_pool, real_run_scenario = simulation.ProcessPoolExecutor, cli.run_scenario
+
+        class CountingPool(real_pool):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def recording_run_scenario(*args, **kwargs):
+            reports.append(real_run_scenario(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli, "run_scenario", recording_run_scenario)
+        cell = dict(
+            family=Family.NORMAL, mean_ratio=1.05, std_ratio=1.05,
+            base=MomentTarget(0.01, 0.008), n_obs=2000, n_pairs=2,
+        )
+        specs = [ScenarioSpec(scenario_id=f"cell{k}", master_seed=40 + k, **cell) for k in range(3)]
+        config = tmp_path / "grid.ini"
+        config.write_text(scenario_config_text(specs))
+        out = tmp_path / "report.csv"
+        assert main(["simulate", str(config), "--out", str(out), "--workers", "2"]) == EXIT_OK
+        assert pools == [2]
+        assert [r.spec.scenario_id for r in reports] == ["cell0", "cell1", "cell2"]
+        assert [r.n_pairs_run for r in reports] == [2, 2, 2]
+        serial = list(simulation.run_scenarios(specs, mvlab.table6_panel(), workers=1))
+        assert [r.success_pct for r in reports] == [r.success_pct for r in serial]
+        assert [r.n_regenerations for r in reports] == [r.n_regenerations for r in serial]
+        progress = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in progress[:3]] == ["cell0", "cell1", "cell2"]
+        assert progress[3:] == [f"wrote {3 * len(serial[0].success_pct)} rows to {out}"]
+
+    def test_worker_invariance_with_regenerations(self, tmp_path, capsys):
+        from mvlab.simulation import default_scenarios
+
+        picked = ("normal_1.05", "gev_1.01_s3", "stable_tight")
+        small = [
+            dataclasses.replace(s, n_obs=2000, n_pairs=8)
+            for s in default_scenarios() if s.scenario_id in picked
+        ]
+        config = tmp_path / "grid.ini"
+        config.write_text(scenario_config_text(small))
+        out = tmp_path / "report.csv"
+        runs = []
+        for workers in ("1", "2", "3"):
+            assert main(["simulate", str(config), "--out", str(out), "--workers", workers]) == EXIT_OK
+            runs.append((_strip_timestamp(out.read_text()), capsys.readouterr().out))
+        assert runs[0] == runs[1] == runs[2]
+        progress = runs[0][1]
+        regenerations = dict(re.findall(r"^(\S+): 8 pairs, (\d+) regenerations", progress, re.M))
+        assert list(regenerations) == list(picked)
+        assert int(regenerations["gev_1.01_s3"]) > 0
+        assert int(regenerations["stable_tight"]) > 0
 
 
 class TestDeciles:

@@ -30,7 +30,9 @@ from mvlab.simulation import (
     evaluate_pair,
     generate_mv_pair,
     load_scenario_config,
+    pair_results,
     run_scenario,
+    run_scenarios,
     scenario_config_text,
 )
 from mvlab.rng import spawn_rng
@@ -256,31 +258,82 @@ class TestAttemptLoop:
         assert report.success_pct == recount
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        created = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor and runs the tasks in-process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+        created = _recording_pool(monkeypatch, cpu_count=3)
         spec = _spec(n_pairs=3)
         serial = run_scenario(spec, [LOG1], workers=1)
         capped = run_scenario(spec, [LOG1], workers=64)
         assert created == [3]
         assert capped.success_pct == serial.success_pct
         assert capped.n_regenerations == serial.n_regenerations
+
+    @pytest.mark.parametrize(
+        "n_pairs, pool_size",
+        [((2, 3, 4), 3), ((1, 1), 2)],
+        ids=["capped_at_cpu_count", "capped_at_total_pairs"],
+    )
+    def test_one_pool_per_run(self, monkeypatch, n_pairs, pool_size):
+        created = _recording_pool(monkeypatch, cpu_count=3)
+        specs = [
+            _spec(scenario_id=f"cell{k}", n_pairs=n, master_seed=77 + k)
+            for k, n in enumerate(n_pairs)
+        ]
+        serial = list(run_scenarios(specs, [LOG1, SQRT], workers=1))
+        assert created == []
+        pooled = list(run_scenarios(specs, [LOG1, SQRT], workers=64))
+        assert created == [pool_size]
+        assert [r.spec for r in pooled] == specs
+        assert [r.success_pct for r in pooled] == [r.success_pct for r in serial]
+        assert [r.n_regenerations for r in pooled] == [r.n_regenerations for r in serial]
+        assert [r.n_pairs_run for r in pooled] == list(n_pairs)
+
+    def test_empty_panel_rejected_before_iteration(self):
+        with pytest.raises(ParameterError, match="at least one utility"):
+            run_scenarios([_spec(n_pairs=1)], [])
+        with pytest.raises(ParameterError, match="at least one utility"):
+            run_scenario(_spec(n_pairs=1), [])
+
+    def test_leaving_the_pool_cancels_queued_pairs(self, tmp_path, monkeypatch):
+        # the workers are forked, so each attempt appends to a file
+        marker = tmp_path / "attempts.log"
+        attempt_solvable = simulation._attempt_solvable
+
+        def marked_attempt(spec, pair_index, attempt):
+            with open(marker, "a", encoding="utf-8") as handle:
+                handle.write(f"{spec.scenario_id} {pair_index}\n")
+            return attempt_solvable(spec, pair_index, attempt)
+
+        monkeypatch.setattr(simulation, "_attempt_solvable", marked_attempt)
+        specs = [
+            _spec(scenario_id=f"cell{k}", n_obs=100_000, n_pairs=10, master_seed=77 + k)
+            for k in range(3)
+        ]
+        with pytest.raises(RuntimeError, match="reader stopped"):
+            with pair_results(specs, [LOG1], workers=2) as results:
+                next(results)
+                raise RuntimeError("reader stopped")
+        # only the pairs already running or handed to a worker may finish:
+        # 5 to 8 of the 30 on two workers, all 30 without the cancel
+        assert len(set(marker.read_text().splitlines())) < 15
+
+
+def _recording_pool(monkeypatch, cpu_count):
+    """Patch in a ProcessPoolExecutor stand-in that runs the tasks
+    in-process and records each pool's size; returns that record."""
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpu_count)
+    return created
 
 
 def _attempt_stable_two_draws(spec, pair_index, attempt):
