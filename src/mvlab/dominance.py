@@ -14,8 +14,10 @@ import csv
 import enum
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,12 +88,18 @@ class DiscreteLottery:
         total = float(np.sum(probs))
         if abs(total - 1.0) > TOL:
             raise ParameterError(f"probabilities sum to {total}, not 1")
-        uniq, inverse = np.unique(values, return_inverse=True)
-        merged = np.bincount(inverse, weights=probs, minlength=uniq.size)
-        uniq.setflags(write=False)
-        merged.setflags(write=False)
-        object.__setattr__(self, "values", uniq)
-        object.__setattr__(self, "probs", merged)
+        order = np.argsort(values)
+        ranked = values[order]
+        if np.all(ranked[1:] != ranked[:-1]):
+            # Nothing to merge: a bin of one weight sums to that weight.
+            values, probs = ranked, probs[order]
+        else:
+            values, inverse = np.unique(values, return_inverse=True)
+            probs = np.bincount(inverse, weights=probs, minlength=values.size)
+        values.setflags(write=False)
+        probs.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteLottery":
@@ -185,15 +193,20 @@ class EmpiricalDistribution:
         keep = p > 0.0
         return self.support[keep], p[keep]
 
+    @cached_property
+    def _moments(self) -> tuple[float, float, float, float]:
+        """(mean, var, m3, m4) over the mass points, computed once per
+        instance."""
+        return central_moments(*self._mass_points)
+
     def mean(self) -> float:
-        v, p = self._mass_points
-        return float(np.sum(v * p))
+        return self._moments[0]
 
     def variance(self) -> float:
-        return central_moments(*self._mass_points)[1]
+        return self._moments[1]
 
     def skewness(self) -> float:
-        _, var, m3, _ = central_moments(*self._mass_points)
+        _, var, m3, _ = self._moments
         return _skewness(var, m3)
 
     def min_value(self) -> float:
@@ -221,8 +234,47 @@ def ecdf(source) -> EmpiricalDistribution:
     return EmpiricalDistribution(uniq, cum)
 
 
-def _merged_support(F: EmpiricalDistribution, G: EmpiricalDistribution) -> np.ndarray:
-    return np.union1d(F.support, G.support)
+class _Merged(NamedTuple):
+    """A pair of step CDFs F, G on their merged support ``xs``: ``diff`` is
+    G - F there, ``dx`` the segment widths and ``integral[j]`` the exact
+    integral of G - F from ``xs[0]`` up to ``xs[j]`` (exact because the
+    integrand is a step function)."""
+
+    xs: np.ndarray
+    diff: np.ndarray
+    dx: np.ndarray
+    integral: np.ndarray
+
+
+def _merge(F: EmpiricalDistribution, G: EmpiricalDistribution) -> _Merged:
+    """Merge the two sorted supports in one pass: NumPy's stable sort of
+    G's points followed by F's finds the two sorted runs and merges them.
+    A point of G thus goes before an equal point of F, so a run of equal
+    points ends on F's: the merged support keeps the first argument's
+    bits (-0.0 against 0.0), and the point counts there take in both
+    jumps."""
+    both = np.concatenate((G.support, F.support))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    xs = merged[last]
+    n_g = np.cumsum(order < G.support.size)[last]
+    diff = np.append(0.0, G.cdf)[n_g] - np.append(0.0, F.cdf)[last + 1 - n_g]
+    dx = np.diff(xs)
+    integral = np.zeros(xs.size)
+    integral[1:] = np.cumsum(diff[:-1] * dx)
+    return _Merged(xs, diff, dx, integral)
+
+
+def _merged(F: EmpiricalDistribution, G: EmpiricalDistribution) -> _Merged:
+    """:func:`_merge` of (F, G), built once for the rules of one pair: F
+    keeps it for its last partner only, holds that partner weakly, and
+    frees it with itself."""
+    memo = F.__dict__.get("_merged_with")
+    if memo is None or memo[0]() is not G:
+        memo = (weakref.ref(G), _merge(F, G))
+        F.__dict__["_merged_with"] = memo
+    return memo[1]
 
 
 def _two_sided_verdict(
@@ -248,18 +300,8 @@ def _two_sided_verdict(
 def fsd_test(F: EmpiricalDistribution, G: EmpiricalDistribution) -> DominanceVerdict:
     """First-order rule: F dominates iff F(x) <= G(x) everywhere with a
     strict inequality somewhere."""
-    xs = _merged_support(F, G)
-    return _two_sided_verdict(G.at(xs) - F.at(xs), xs)
-
-
-def _running_integral(F: EmpiricalDistribution, G: EmpiricalDistribution):
-    """(xs, I) with I[j] the exact integral of (G - F) from the global
-    minimum up to xs[j]; exact because the integrand is a step function."""
-    xs = _merged_support(F, G)
-    d = G.at(xs) - F.at(xs)
-    integral = np.zeros(xs.size)
-    integral[1:] = np.cumsum(d[:-1] * np.diff(xs))
-    return xs, integral
+    pair = _merged(F, G)
+    return _two_sided_verdict(pair.diff, pair.xs)
 
 
 def ssd_test(F: EmpiricalDistribution, G: EmpiricalDistribution) -> DominanceVerdict:
@@ -269,8 +311,8 @@ def ssd_test(F: EmpiricalDistribution, G: EmpiricalDistribution) -> DominanceVer
     The integral is piecewise linear, so its extrema over each segment sit
     at segment endpoints; checking the merged support points is exact.
     """
-    xs, integral = _running_integral(F, G)
-    return _two_sided_verdict(integral, xs)
+    pair = _merged(F, G)
+    return _two_sided_verdict(pair.integral, pair.xs)
 
 
 def tsd_test(F: EmpiricalDistribution, G: EmpiricalDistribution) -> DominanceVerdict:
@@ -282,8 +324,7 @@ def tsd_test(F: EmpiricalDistribution, G: EmpiricalDistribution) -> DominanceVer
     stationary points where the inner integral crosses zero, which follow
     the breakpoints in segment order.
     """
-    xs, inner = _running_integral(F, G)
-    dx = np.diff(xs)
+    xs, _, dx, inner = _merged(F, G)
     outer = np.zeros(xs.size)
     outer[1:] = np.cumsum((inner[:-1] + inner[1:]) / 2.0 * dx)
     a, b = inner[:-1], inner[1:]
@@ -400,12 +441,21 @@ def _lottery_block(path) -> DiscreteLottery | None:
     a ``"`` anywhere (csv and ``loadtxt`` split quoted cells differently),
     a line of at least csv's field-size limit (``loadtxt`` has none), a
     cell ``loadtxt`` cannot read, a warning, or a block the lottery
-    rejects."""
+    rejects.  The checks read the file's bytes once: a byte search for
+    ``"``, and a full newline scan only when some aligned block of half the
+    limit holds no newline, since a line as long as the limit would cover
+    a whole block."""
     try:
-        raw = np.fromfile(path, dtype=np.uint8)
-        longest = np.diff(np.flatnonzero(raw == ord("\n")), prepend=-1, append=raw.size).max()
-        if longest > csv.field_size_limit() or np.any(raw == ord('"')):
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if b'"' in raw:
             return None
+        limit = csv.field_size_limit()
+        step = max(limit // 2, 1)
+        if not all(raw.find(b"\n", i, i + step) >= 0 for i in range(0, len(raw), step)):
+            breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+            if np.diff(breaks, prepend=-1, append=len(raw)).max() > limit:
+                return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block = np.loadtxt(

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +387,32 @@ def test_load_lottery_matches_row_loop(tmp_path_factory, text):
         assert np.array_equal(got.probs, want.probs)
 
 
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0" * LIMIT + "1,1\n",
+        "0" * (LIMIT - 1) + "1,1\n",
+        "0.5,0.5\n" + "1.5,0.5," + "0," * (LIMIT // 3) + "0\n",
+        "0.5,0.5\n" + "1.5,0.5," + "0," * LIMIT + "0\n",
+    ],
+    ids=["field_past_limit", "field_at_limit", "line_under_limit", "line_past_limit"],
+)
+def test_long_lines_match_row_loop(tmp_path, body):
+    path = tmp_path / "long.csv"
+    path.write_text("value,probability\n" + body)
+    outcomes = []
+    for reader in (load_lottery, _load_lottery_row_loop):
+        try:
+            lottery = reader(path)
+            outcomes.append((lottery.values.tobytes(), lottery.probs.tobytes()))
+        except IngestionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
 @st.composite
 def small_lotteries(draw):
     size = draw(st.integers(2, 5))
@@ -523,3 +551,138 @@ def test_tsd_matches_segment_loop(pair):
         assert got.strict is want.strict
         assert (got.witness is None) == (want.witness is None)
         assert got.witness == want.witness
+
+
+def _witness_bits(verdict):
+    return None if verdict.witness is None else np.float64(verdict.witness).tobytes()
+
+
+def _union_oracle_verdict(margin, xs):
+    """Verdict of a pointwise margin on the merged support, written out
+    branch by branch."""
+    first_ok = bool(np.all(margin >= -TOL))
+    second_ok = bool(np.all(margin <= TOL))
+    if first_ok and second_ok:
+        return DominanceVerdict(Relation.INDISTINGUISHABLE, strict=False)
+    decides = margin > TOL if first_ok else margin < -TOL
+    witness = float(xs[np.argmax(decides)]) if decides.any() else None
+    if first_ok:
+        return DominanceVerdict(Relation.FIRST_DOMINATES, strict=True, witness=witness)
+    if second_ok:
+        return DominanceVerdict(Relation.SECOND_DOMINATES, strict=True, witness=witness)
+    return DominanceVerdict(Relation.NO_DOMINANCE, strict=False, witness=witness)
+
+
+def _fsd_union_oracle(F, G):
+    """``fsd_test`` as it was before the one-pass merge: ``np.union1d``
+    and a ``searchsorted`` lookup per CDF."""
+    xs = np.union1d(F.support, G.support)
+    return _union_oracle_verdict(G.at(xs) - F.at(xs), xs)
+
+
+def _ssd_union_oracle(F, G):
+    """``ssd_test`` as it was before the one-pass merge."""
+    xs = np.union1d(F.support, G.support)
+    d = G.at(xs) - F.at(xs)
+    integral = np.zeros(xs.size)
+    integral[1:] = np.cumsum(d[:-1] * np.diff(xs))
+    return _union_oracle_verdict(integral, xs)
+
+
+def _refined(dist):
+    """Insert interval midpoints as zero-mass support points."""
+    mids = (dist.support[:-1] + dist.support[1:]) / 2.0
+    support = np.sort(np.concatenate([dist.support, mids]))
+    return EmpiricalDistribution(support, dist.at(support))
+
+
+@st.composite
+def _merge_pairs(draw):
+    """(F, G) step CDFs whose merged support is not a plain interleaving:
+    lotteries on a shared coarse grid, the same with zero-mass midpoints
+    inserted, single-point supports, a pair with -0.0 in one support and
+    0.0 in the other, and ECDFs of samples with tied draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["shared", "refined", "single", "signed_zero", "sample"]))
+
+    def grid_lottery(n):
+        values = rng.integers(-4, 5, n) / 2.0
+        return DiscreteLottery(values, rng.dirichlet(np.ones(n)))
+
+    if kind == "sample":
+        draws = [rng.integers(-3, 4, int(rng.integers(1, 30))) / 4.0 for _ in range(2)]
+        return ecdf(draws[0]), ecdf(draws[1])
+    if kind == "single":
+        first = DiscreteLottery.from_pairs([(float(rng.integers(-2, 3)), 1.0)])
+        return ecdf(first), ecdf(grid_lottery(int(rng.integers(1, 4))))
+    if kind == "signed_zero":
+        rest = rng.integers(1, 5, 2) / 2.0
+        probs = rng.dirichlet(np.ones(2), 2)
+        return (
+            ecdf(DiscreteLottery(np.array([-0.0, rest[0]]), probs[0])),
+            ecdf(DiscreteLottery(np.array([0.0, rest[1]]), probs[1])),
+        )
+    F, G = ecdf(grid_lottery(int(rng.integers(1, 8)))), ecdf(grid_lottery(int(rng.integers(1, 8))))
+    if kind == "refined":
+        return _refined(F), (G if rng.random() < 0.5 else _refined(G))
+    return F, G
+
+
+@given(pair=st.one_of(_merge_pairs(), _tsd_pairs()))
+@example(pair=(
+    ecdf(DiscreteLottery.from_pairs([(-0.0, 0.25), (1.0, 0.75)])),
+    ecdf(DiscreteLottery.from_pairs([(0.0, 0.5), (1.0, 0.5)])),
+))
+@settings(max_examples=300, deadline=None)
+def test_fsd_and_ssd_match_union_oracle(pair):
+    F, G = pair
+    for first, second in ((F, G), (G, F)):
+        for rule, oracle in ((fsd_test, _fsd_union_oracle), (ssd_test, _ssd_union_oracle)):
+            got, want = rule(first, second), oracle(first, second)
+            assert got.relation is want.relation
+            assert got.strict is want.strict
+            assert _witness_bits(got) == _witness_bits(want)
+
+
+def test_merged_support_keeps_first_arguments_signed_zero():
+    F = ecdf(DiscreteLottery.from_pairs([(-0.0, 0.25), (1.0, 0.75)]))
+    G = ecdf(DiscreteLottery.from_pairs([(0.0, 0.5), (1.0, 0.5)]))
+    forward, backward = fsd_test(F, G), fsd_test(G, F)
+    assert (forward.relation, forward.strict) == (Relation.FIRST_DOMINATES, True)
+    assert np.float64(forward.witness).tobytes() == np.float64(-0.0).tobytes()
+    assert (backward.relation, backward.strict) == (Relation.SECOND_DOMINATES, True)
+    assert np.float64(backward.witness).tobytes() == np.float64(0.0).tobytes()
+
+
+def test_merged_support_is_kept_for_the_last_partner_only():
+    F = ecdf(DiscreteLottery.from_pairs([(0.0, 0.5), (2.0, 0.5)]))
+    G = ecdf(DiscreteLottery.from_pairs([(1.0, 1.0)]))
+    H = ecdf(DiscreteLottery.from_pairs([(-1.0, 0.5), (3.0, 0.5)]))
+    for partner in (G, H, G):
+        assert fsd_test(F, partner) == _fsd_union_oracle(F, partner)
+        assert ssd_test(F, partner) == _ssd_union_oracle(F, partner)
+        assert tsd_test(F, partner) == _tsd_loop_oracle(F, partner)
+    partner = weakref.ref(G)
+    del G
+    assert partner() is None
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e6, 1e6)),
+        min_size=1, max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(values=[0.0, -0.0, 1.0], seed=0)
+@example(values=[-0.0, 3.0, 0.0, -0.0], seed=1)
+@settings(max_examples=300, deadline=None)
+def test_lottery_canonicalization_matches_unique_bincount(values, seed):
+    values = np.array(values)
+    probs = np.random.default_rng(seed).dirichlet(np.ones(values.size))
+    probs /= probs.sum()
+    uniq, inverse = np.unique(values, return_inverse=True)
+    merged = np.bincount(inverse, weights=probs, minlength=uniq.size)
+    lottery = DiscreteLottery(values, probs)
+    assert lottery.values.tobytes() == uniq.tobytes()
+    assert lottery.probs.tobytes() == merged.tobytes()
