@@ -74,6 +74,7 @@ from .utilities import (
     UtilitySpec,
     approx_table,
     ara,
+    clamped_panel,
     clamped_utility,
     expected_quadratic,
     expected_utility,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -123,6 +124,19 @@ def _write_report(path, manifest: RunManifest, header: list[str], rows, fmt: str
     return text
 
 
+def _check_output(path) -> None:
+    """Raise UsageError unless a report can be created at ``path``: its
+    directory must exist and ``path`` must not be one.  Commands call this
+    before any work, so a long run does not end in a failed write."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -152,6 +166,7 @@ def cmd_compare(args) -> int:
         raise UsageError(f"unknown rules {unknown}; choose from {','.join(RULES)}")
     if not rules:
         raise UsageError("no rules requested")
+    _check_output(args.out)
     lottery_a = load_lottery(args.lottery_a)
     lottery_b = load_lottery(args.lottery_b)
     f, g = ecdf(lottery_a), ecdf(lottery_b)
@@ -237,6 +252,7 @@ def cmd_approx_table(args) -> int:
         raise UsageError("--param needs --utility")
     else:
         specs = CLASSIC_UTILITIES
+    _check_output(args.out)
     tables = [approx_table(spec, grid) for spec in specs]
     header = ["z"]
     for spec in specs:
@@ -261,6 +277,7 @@ def cmd_approx_table(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.emit_default_config:
+        _check_output(args.emit_default_config)
         text = scenario_config_text(default_scenarios(paper_scale=args.paper_scale))
         with open(args.emit_default_config, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -268,6 +285,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    _check_output(args.out)
     if args.config:
         scenarios = load_scenario_config(
             args.config, seed_override=args.seed, paper_scale=args.paper_scale
@@ -344,6 +362,12 @@ def cmd_simulate(args) -> int:
 def cmd_deciles(args) -> int:
     if args.deciles < 2:
         raise UsageError(f"--deciles must be >= 2, got {args.deciles}")
+    suffix = "md" if args.format == "md" else "csv"
+    stats_path = f"{args.out}_decile_stats.{suffix}"
+    agreement_path = f"{args.out}_agreement.{suffix}"
+    counts_path = f"{args.out}_agreement_counts.{suffix}"
+    for path in (stats_path, agreement_path, counts_path):
+        _check_output(path)
     table = load_returns(args.returns)
     if args.deciles > len(table.tickers):
         raise UsageError(
@@ -353,9 +377,6 @@ def cmd_deciles(args) -> int:
     assignment = build_deciles(table, args.deciles)
     panel = table6_panel()
     cells = cross_decile_analysis(assignment, table, panel)
-    suffix = "md" if args.format == "md" else "csv"
-    stats_path = f"{args.out}_decile_stats.{suffix}"
-    agreement_path = f"{args.out}_agreement.{suffix}"
     manifest = RunManifest.create(
         "deciles", config_path=args.returns, output_path=args.out, master_seed=None
     )
@@ -382,7 +403,6 @@ def cmd_deciles(args) -> int:
             [label, cell.n_mv_pairs] + [cell.n_evaluated[u.identifier] for u in panel]
         )
     _write_report(agreement_path, manifest, agreement_header, agreement_rows, args.format)
-    counts_path = f"{args.out}_agreement_counts.{suffix}"
     _write_report(counts_path, manifest, agreement_header, counts_rows, args.format)
     print(f"wrote {stats_path}, {agreement_path} and {counts_path}")
     return EXIT_OK

@@ -224,11 +224,15 @@ def central_moments(values: np.ndarray, weights: np.ndarray | None = None):
     moments of ``values``, divide-by-n when ``weights`` is None and
     probability weighted otherwise.  Powers are products, so one squared
     deviation feeds var, m3 and m4 (NumPy's ``**3`` and ``**4`` go
-    through ``pow`` and cost about 50 times as much).
+    through ``pow`` and cost about 50 times as much).  The unweighted
+    average is ``np.mean``'s own sum and division on float input, bit for
+    bit, without its Python wrapper.
     """
 
     def average(a: np.ndarray) -> float:
-        return float(np.mean(a) if weights is None else np.sum(weights * a))
+        if weights is None:
+            return float(np.add.reduce(a, axis=None)) / a.size
+        return float(np.sum(weights * a))
 
     mean = average(values)
     centered = values - mean

@@ -435,27 +435,35 @@ def csv_rows(path, kind: str):
         raise IngestionError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
+def splits_like_csv(raw: bytes) -> bool:
+    """True when no quote character and no line as long as csv's
+    field-size limit occur in ``raw``: on such bytes a split on commas and
+    line ends gives the cells :func:`csv_rows` gives, since csv parses
+    quoted cells its own way and rejects a field that long, and a split
+    does neither.  One byte search for ``"``, and a full newline scan only
+    when some aligned block of half the limit holds no newline, since a
+    line as long as the limit would cover a whole block."""
+    if b'"' in raw:
+        return False
+    limit = csv.field_size_limit()
+    step = max(limit // 2, 1)
+    if all(raw.find(b"\n", i, i + step) >= 0 for i in range(0, len(raw), step)):
+        return True
+    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    return np.diff(breaks, prepend=-1, append=len(raw)).max() <= limit
+
+
 def _lottery_block(path) -> DiscreteLottery | None:
     """The lottery in the block under the header, parsed by NumPy's C
     reader, or None when the file needs :func:`load_lottery`'s row loop:
-    a ``"`` anywhere (csv and ``loadtxt`` split quoted cells differently),
-    a line of at least csv's field-size limit (``loadtxt`` has none), a
-    cell ``loadtxt`` cannot read, a warning, or a block the lottery
-    rejects.  The checks read the file's bytes once: a byte search for
-    ``"``, and a full newline scan only when some aligned block of half the
-    limit holds no newline, since a line as long as the limit would cover
-    a whole block."""
+    bytes that fail :func:`splits_like_csv`, a cell ``loadtxt`` cannot
+    read, a warning, or a block the lottery rejects.  The file's bytes are
+    read once for the checks."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        if b'"' in raw:
+        if not splits_like_csv(raw):
             return None
-        limit = csv.field_size_limit()
-        step = max(limit // 2, 1)
-        if not all(raw.find(b"\n", i, i + step) >= 0 for i in range(0, len(raw), step)):
-            breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-            if np.diff(breaks, prepend=-1, append=len(raw)).max() > limit:
-                return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block = np.loadtxt(

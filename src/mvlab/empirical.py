@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import MomentSummary, moments
-from .dominance import csv_rows
+from .dominance import csv_rows, splits_like_csv
 # ``mvc_test`` and ``sample_expected_utility`` are not called here; they stay
 # module attributes because bench/tracing.py wraps them at this module.
 from .dominance import mvc_test
 from .errors import IngestionError, ParameterError
 from .utilities import (
     UtilitySpec,
-    clamped_utility,
+    clamped_panel,
     over_clamp_budget,
     sample_expected_utility,
 )
@@ -32,6 +32,10 @@ from .utilities import (
 log = logging.getLogger(__name__)
 
 MIN_OBSERVATIONS = 24
+
+# The bytes a returns block may hold for the bulk parse: ISO dates,
+# decimal returns, separators and line feeds.
+_PLAIN_BLOCK_BYTES = b"0123456789.eE+-,\n"
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,9 @@ class CrossDecileCell:
 
 
 def load_returns(path, min_observations: int = MIN_OBSERVATIONS) -> ReturnsTable:
-    """Parse and validate a returns CSV; drops under-observed tickers."""
+    """Parse and validate a returns CSV; drops under-observed tickers.  The
+    block under the header goes through :func:`_returns_block` first; the
+    row loop reads only the files it hands back, and names every error."""
     records = csv_rows(path, "returns")
     header = next(records)
     if not header or header[0].strip().lower() != "date" or len(header) < 2:
@@ -101,6 +107,81 @@ def load_returns(path, min_observations: int = MIN_OBSERVATIONS) -> ReturnsTable
         if t in seen:
             raise IngestionError(f"{path}: duplicate ticker {t!r}")
         seen.add(t)
+    block = _returns_block(path, len(tickers) + 1)
+    if block is not None:
+        records.close()
+        periods, matrix = block
+    else:
+        periods, matrix = _returns_rows(path, records, tickers)
+    counts = np.sum(~np.isnan(matrix), axis=0)
+    keep = counts >= min_observations
+    dropped = tuple(t for t, k in zip(tickers, keep) if not k)
+    for t in dropped:
+        log.info("dropping %s: fewer than %d observations", t, min_observations)
+    kept = tuple(t for t, k in zip(tickers, keep) if k)
+    table = ReturnsTable(
+        tickers=kept,
+        periods=tuple(periods),
+        returns=matrix[:, keep],
+        dropped=dropped,
+    )
+    log.info(
+        "loaded %s: %d periods, %d tickers kept, %d dropped",
+        path,
+        len(table.periods),
+        len(kept),
+        len(dropped),
+    )
+    return table
+
+
+def _returns_block(path, n_columns: int):
+    """(periods, returns matrix) of the rows under the header, split in
+    bulk, or None when the file needs :func:`load_returns`'s row loop:
+    bytes that fail :func:`~mvlab.dominance.splits_like_csv`, a carriage
+    return, a byte under the header other than digits, ``.eE+-``, commas
+    and line feeds, a row of the wrong width, a bad date or return, or no
+    rows at all.  On the bytes it keeps, a split on commas and line feeds
+    gives the cells csv gives, with nothing to strip, so the periods and
+    the values (``float`` reads ASCII bytes as it reads text) are those
+    of the row loop; only the row loop names errors."""
+    try:
+        with open(path, "rb") as handle:
+            header = handle.readline()
+            body = handle.read()
+    except OSError:
+        return None
+    for part in (header, body):
+        if b"\r" in part or not splits_like_csv(part):
+            return None
+    if body.translate(None, _PLAIN_BLOCK_BYTES):
+        return None
+    lines = [line for line in body.split(b"\n") if line.strip(b",")]
+    del body
+    if not lines:
+        return None
+    periods = []
+    matrix = np.empty((len(lines), n_columns - 1))
+    try:
+        for i, line in enumerate(lines):
+            cells = line.split(b",")
+            if len(cells) != n_columns:
+                return None
+            date_text = cells[0].decode("ascii")
+            datetime.date.fromisoformat(date_text)
+            periods.append(date_text)
+            matrix[i] = [float(cell) if cell else math.nan for cell in cells[1:]]
+    except ValueError:
+        return None
+    if np.isinf(matrix).any() or (matrix <= -1.0).any():
+        return None
+    return periods, matrix
+
+
+def _returns_rows(path, records, tickers: list[str]):
+    """(periods, returns matrix) read row by row from ``records``, the
+    :func:`~mvlab.dominance.csv_rows` stream past the header; raises
+    :class:`IngestionError` naming the first bad row."""
     periods = []
     rows = []
     for row_no, row in records:
@@ -138,26 +219,7 @@ def load_returns(path, min_observations: int = MIN_OBSERVATIONS) -> ReturnsTable
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     matrix = np.vstack(rows)
-    counts = np.sum(~np.isnan(matrix), axis=0)
-    keep = counts >= min_observations
-    dropped = tuple(t for t, k in zip(tickers, keep) if not k)
-    for t in dropped:
-        log.info("dropping %s: fewer than %d observations", t, min_observations)
-    kept = tuple(t for t, k in zip(tickers, keep) if k)
-    table = ReturnsTable(
-        tickers=kept,
-        periods=tuple(periods),
-        returns=matrix[:, keep],
-        dropped=dropped,
-    )
-    log.info(
-        "loaded %s: %d periods, %d tickers kept, %d dropped",
-        path,
-        len(table.periods),
-        len(kept),
-        len(dropped),
-    )
-    return table
+    return periods, matrix
 
 
 def build_deciles(table: ReturnsTable, d: int) -> DecileAssignment:
@@ -219,10 +281,13 @@ def cross_decile_analysis(
     are not shifted: a per-ticker shift would break exact ties between
     tickers whose returns agree only over their overlap, and the one-pass
     variance loses about log10(1 + mean²/var) digits, nothing for returns,
-    whose monthly mean is small against their spread.  Per utility, one
-    product of U(clip(r)) per side gives the expected utilities and, when
-    any draw is clamped, one product of the clamp indicator per side gives
-    the clamp counts.
+    whose monthly mean is small against their spread.  The values of U
+    come from :func:`~mvlab.utilities.clamped_panel`, one clamp per domain
+    edge and one transform per family and edge.  Per utility, one product
+    of sign * U(clip(r)) per side gives the expected utilities up to that
+    sign, which is applied to the sums (negation is exact).  Per domain
+    edge where any draw is clamped, one product of the clamp indicator per
+    side gives the clamp counts.
     """
     if min_overlap < 1:
         raise ParameterError(f"min_overlap must be >= 1, got {min_overlap}")
@@ -265,21 +330,24 @@ def cross_decile_analysis(
 
     n_eval = {u.identifier: 0 for u in utilities}
     n_agree = dict(n_eval)
-    for u in utilities:
-        values, clamped = clamped_utility(u, raw)
+    over_budget: dict[float, np.ndarray] = {}
+    for u, sign, values, clamped in clamped_panel(raw, utilities):
         values *= mask
         evaluable = mv
         if clamped is not None:
-            clamped_1, clamped_2 = overlap_sums(clamped.astype(float))
-            evaluable = (
-                mv & ~over_clamp_budget(clamped_1, n) & ~over_clamp_budget(clamped_2, n)
-            )
-            del clamped_1, clamped_2
+            lo = u.domain_min
+            if lo not in over_budget:
+                clamped_1, clamped_2 = overlap_sums(clamped.astype(float))
+                over_budget[lo] = (
+                    over_clamp_budget(clamped_1, n) | over_clamp_budget(clamped_2, n)
+                )
+                del clamped_1, clamped_2
+            evaluable = mv & ~over_budget[lo]
         eu_1, eu_2 = overlap_sums(values)
-        agree = evaluable & (eu_1 / n_safe >= eu_2 / n_safe)
+        agree = evaluable & (sign * eu_1 / n_safe >= sign * eu_2 / n_safe)
         n_eval[u.identifier] = n_eval[u.identifier] + per_decile(evaluable)
         n_agree[u.identifier] = n_agree[u.identifier] + per_decile(agree)
-        del values, clamped, evaluable, eu_1, eu_2, agree
+        del evaluable, eu_1, eu_2, agree
 
     n_pairs = per_decile(mv)
     cells = []

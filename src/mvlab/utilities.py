@@ -248,16 +248,45 @@ def expected_quadratic(spec: UtilitySpec, mean: float, var: float, mode: Expansi
     return q.c0 + q.c1 * mean + q.c2 * (mean * mean + var)
 
 
-def clamped_utility(spec: UtilitySpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """U elementwise on an array of draws, under the clamping policy.
+def clamped_panel(x: np.ndarray, panel: Iterable[UtilitySpec]):
+    """U elementwise on an array of draws under the clamping policy, for
+    every utility of ``panel`` in order: yields (spec, sign, values,
+    moved), where U = sign * values and ``moved`` is the boolean mask of
+    the draws moved to edge + 1e-6 before U was taken, or None when none
+    moved.  Whether the draws may be evaluated at all is
+    :func:`over_clamp_budget` of the moved count.
 
-    Draws at or below the domain edge are moved to edge + 1e-6 before U
-    is taken.  Returns (U values, boolean mask of the moved draws), the
-    mask being None when no draw was moved.  Whether the sample may be
-    evaluated at all is :func:`over_clamp_budget` of the moved count.
+    The draws are clamped once per distinct domain edge, and each utility
+    on that edge gets the same ``moved`` object.  Each family's a-free
+    transform is taken once per edge, so the power and neg_power rows share
+    one ``log1p``.  Every utility's values are finished in one buffer, which
+    holds them until the next item is taken and may be changed meanwhile.
     """
-    moved, bad = _clamp(x, spec.domain_min)
-    return _FAMILIES[spec.family].value(spec.a, moved), bad
+    clamped: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
+    transformed: dict[tuple[float, Callable], np.ndarray] = {}
+    out = None
+    for spec in panel:
+        family, lo = _FAMILIES[spec.family], spec.domain_min
+        if lo not in clamped:
+            clamped[lo] = _clamp(x, lo)
+        z, moved = clamped[lo]
+        key = (lo, family.transform)
+        if key not in transformed:
+            transformed[key] = family.transform(z)
+        t = transformed[key]
+        if out is None:
+            out = np.empty_like(t, dtype=float)
+        family.finish(spec.a, t, out)
+        yield spec, family.sign, out, moved
+
+
+def clamped_utility(spec: UtilitySpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """U elementwise on an array of draws, under the clamping policy:
+    (U values, boolean mask of the moved draws or None), the one-utility
+    case of :func:`clamped_panel`."""
+    ((_, sign, values, moved),) = clamped_panel(x, (spec,))
+    values *= sign
+    return values, moved
 
 
 def _clamp(x: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -271,67 +300,52 @@ def _clamp(x: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray | None]:
     return np.where(bad, lo + _CLAMP_OFFSET, x), bad
 
 
-def over_clamp_budget(n_clamped, n_draws, max_clamped_fraction: float = CLAMP_BUDGET):
-    """True where more than ``max_clamped_fraction`` of ``n_draws`` draws
-    needed clamping; elementwise on arrays of counts."""
-    return n_clamped > max_clamped_fraction * n_draws
+def over_clamp_budget(n_clamped, n_draws):
+    """True where more than ``CLAMP_BUDGET`` of ``n_draws`` draws needed
+    clamping; elementwise on arrays of counts."""
+    return n_clamped > CLAMP_BUDGET * n_draws
 
 
 def panel_expected_utility(
-    sample: np.ndarray,
-    panel: Iterable[UtilitySpec],
-    max_clamped_fraction: float = CLAMP_BUDGET,
+    sample: np.ndarray, panel: Iterable[UtilitySpec]
 ) -> list[tuple[float, int]]:
     """Equal-weight expected utility of one sample under every utility of
     ``panel``: [(expected utility, number of clamped draws), ...] in panel
     order, each as :func:`sample_expected_utility` defines it.
 
-    The draws are clamped once per distinct domain edge and each family's
-    a-free transform is taken once per edge, so the power and neg_power
-    rows share one ``log1p``.  Each utility is finished in one reused
-    buffer, and its sign is applied to the mean: negation is exact, so
-    -mean(u) == mean(-u) bit for bit.  Raises DomainError for the first
-    utility, in panel order, whose clamping budget is exceeded.
+    The values come from :func:`clamped_panel`, and each utility's sign is
+    applied to the mean: negation is exact, so -mean(u) == mean(-u) bit
+    for bit.  The mean is ``np.mean``'s own sum and division without its
+    Python wrapper.  Raises DomainError for the first utility, in panel
+    order, whose clamping budget is exceeded.
     """
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ParameterError("expected utility requires a non-empty sample")
-    clamped: dict[float, tuple[np.ndarray, int]] = {}
-    transformed: dict[tuple[float, Callable], np.ndarray] = {}
-    out = np.empty_like(x)
+    n_clamped: dict[float, int] = {}
     results = []
-    for spec in panel:
-        family, lo = _FAMILIES[spec.family], spec.domain_min
-        if lo not in clamped:
-            z, bad = _clamp(x, lo)
-            clamped[lo] = z, 0 if bad is None else int(np.count_nonzero(bad))
-        z, n_clamped = clamped[lo]
-        if over_clamp_budget(n_clamped, x.size, max_clamped_fraction):
+    for spec, sign, values, moved in clamped_panel(x, panel):
+        lo = spec.domain_min
+        if lo not in n_clamped:
+            n_clamped[lo] = 0 if moved is None else int(np.count_nonzero(moved))
+        if over_clamp_budget(n_clamped[lo], x.size):
             raise DomainError(
-                f"{n_clamped}/{x.size} draws below the domain edge of "
-                f"{spec.identifier} exceeds the clamping budget "
-                f"({max_clamped_fraction:g})"
+                f"{n_clamped[lo]}/{x.size} draws below the domain edge of "
+                f"{spec.identifier} exceeds the clamping budget ({CLAMP_BUDGET:g})"
             )
-        key = (lo, family.transform)
-        if key not in transformed:
-            transformed[key] = family.transform(z)
-        family.finish(spec.a, transformed[key], out)
-        results.append((family.sign * float(np.mean(out)), n_clamped))
+        mean = float(np.add.reduce(values, axis=None)) / x.size
+        results.append((sign * mean, n_clamped[lo]))
     return results
 
 
-def sample_expected_utility(
-    sample: np.ndarray,
-    spec: UtilitySpec,
-    max_clamped_fraction: float = CLAMP_BUDGET,
-) -> tuple[float, int]:
+def sample_expected_utility(sample: np.ndarray, spec: UtilitySpec) -> tuple[float, int]:
     """Equal-weight expected utility of a sample, with domain clamping.
 
     Returns (expected utility, number of clamped draws).  Draws at or
     below the domain edge are moved to edge + 1e-6; more than
-    ``max_clamped_fraction`` of them fails the evaluation.
+    ``CLAMP_BUDGET`` of them fails the evaluation.
     """
-    return panel_expected_utility(sample, (spec,), max_clamped_fraction)[0]
+    return panel_expected_utility(sample, (spec,))[0]
 
 
 def expected_utility(outcomes, spec: UtilitySpec) -> float:

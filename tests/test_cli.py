@@ -20,6 +20,7 @@ from mvlab.cli import (
     main,
 )
 from mvlab.distributions import Family, MomentTarget
+from mvlab.empirical import _returns_block
 from mvlab.rng import spawn_rng
 from mvlab.simulation import ScenarioSpec, scenario_config_text
 from mvlab.utilities import round_half_away_from_zero
@@ -137,6 +138,17 @@ class TestCompare:
         assert "# command: compare" in text
         assert "fsd,second_dominates,True" in text
 
+    def test_out_in_missing_directory_usage_error(self, lottery_files, tmp_path, capsys):
+        z1, z2 = lottery_files
+        out_path = tmp_path / "missing" / "verdicts.csv"
+        assert main(["compare", str(z1), str(z2), "--out", str(out_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no verdict was computed
+        assert captured.err == (
+            f"usage error: cannot write {out_path}: "
+            f"directory {out_path.parent} does not exist\n"
+        )
+
 
 class TestApproxTable:
     def test_default_reproduces_printed_table(self, tmp_path):
@@ -204,6 +216,16 @@ class TestApproxTable:
     def test_grid_at_row_cap(self):
         assert len(_parse_grid("0:99999:1")) == 100_000
 
+    def test_out_in_missing_directory_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "table.csv"
+        assert main(["approx-table", "--out", str(out_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"cannot write {out_path}: directory {out_path.parent} does not exist" in err
+
+    def test_out_naming_a_directory_usage_error(self, tmp_path, capsys):
+        assert main(["approx-table", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
     def test_markdown_format(self, capsys):
         assert main(["approx-table", "--grid", "0:0.1:0.1", "--format", "md"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -211,6 +233,18 @@ class TestApproxTable:
 
 
 class TestSimulate:
+    def test_out_in_missing_directory_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulate started work before checking --out")
+
+        monkeypatch.setattr(mvlab.cli, "pair_results", no_work)
+        config = _small_config(tmp_path)
+        out_path = tmp_path / "missing" / "report.csv"
+        assert main(["simulate", str(config), "--out", str(out_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"cannot write {out_path}: directory {out_path.parent} does not exist" in err
+        assert not out_path.parent.exists()
+
     def test_runs_config_and_writes_csv(self, tmp_path, capsys):
         config = _small_config(tmp_path)
         out_path = tmp_path / "report.csv"
@@ -429,6 +463,40 @@ class TestDeciles:
         assert stats.count("\nskewness,") == 1
         assert "Dec 1 vs Dec 4" in agreement
         assert "Dec 1 vs Dec 4" in counts
+
+    def test_out_in_missing_directory_usage_error(
+        self, returns_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("deciles read the panel before checking --out")
+
+        monkeypatch.setattr(mvlab.cli, "load_returns", no_work)
+        prefix = tmp_path / "missing" / "d"
+        assert main(["deciles", str(returns_file), "--deciles", "4",
+                     "--out", str(prefix)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"cannot write {prefix}_decile_stats.csv: directory {prefix.parent} " in err
+
+    def test_crlf_panel_gives_the_same_reports(self, returns_file, tmp_path, capsys):
+        lines = returns_file.read_text().splitlines()
+        for t, cell in [(3, 2), (10, 5), (10, 12), (40, 1)]:
+            fields = lines[t].split(",")
+            fields[cell] = ""
+            lines[t] = ",".join(fields)
+        bodies = []
+        for name, end in [("lf", "\n"), ("crlf", "\r\n")]:
+            panel = tmp_path / f"{name}.csv"
+            panel.write_bytes("".join(line + end for line in lines).encode())
+            assert (_returns_block(panel, 13) is None) == (end == "\r\n")
+            prefix = tmp_path / name
+            argv = ["deciles", str(panel), "--deciles", "4", "--out", str(prefix)]
+            assert main(argv) == EXIT_OK
+            bodies.append([
+                [line for line in (tmp_path / f"{name}{report}.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+                for report in ("_decile_stats", "_agreement", "_agreement_counts")
+            ])
+        assert bodies[0] == bodies[1]
 
     def test_deterministic_rerun(self, returns_file, tmp_path):
         texts = []

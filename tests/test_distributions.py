@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize as scipy_optimize, stats as scipy_stats
 
 from mvlab.distributions import (
@@ -18,6 +19,7 @@ from mvlab.distributions import (
     StableParams,
     _bisect,
     _solve_gev_shape,
+    central_moments,
     gev_skewness,
     gls_coefficients,
     moments,
@@ -119,6 +121,39 @@ class TestMoments:
     def test_bit_identical_recompute(self):
         x = sample(NormalParams(0, 1), 1000, seed=5)
         assert moments(x) == moments(x)
+
+
+def _np_mean_central_moments(values):
+    """The unweighted ``central_moments`` as it was, through ``np.mean``."""
+    mean = float(np.mean(values))
+    centered = values - mean
+    squared = centered * centered
+    return (mean, float(np.mean(squared)), float(np.mean(squared * centered)),
+            float(np.mean(squared * squared)))
+
+
+@given(
+    base=hnp.arrays(
+        np.float64, st.integers(1, 400),
+        elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 0.1]),
+    ),
+    layout=st.sampled_from(["contiguous", "strided", "2-D", "2-D transposed"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_central_moments_bit_identical_to_np_mean(base, layout):
+    if layout == "strided":
+        values = base[::3]
+    elif layout.startswith("2-D"):
+        rows = max(1, base.size // 7)
+        values = base[: rows * (base.size // rows)].reshape(rows, -1)
+        if layout == "2-D transposed":
+            values = values.T
+    else:
+        values = base
+    got = central_moments(values)
+    want = _np_mean_central_moments(values)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert all(type(x) is float for x in got)
 
 
 def _reference_samples():

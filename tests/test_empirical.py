@@ -1,14 +1,19 @@
+import datetime
+import logging
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvlab.distributions import Family, MomentTarget, moments, sample, solve_params_for_moments
-from mvlab.dominance import Relation, mvc_test
+from mvlab.dominance import Relation, csv_rows, mvc_test
 from mvlab.empirical import (
     MIN_OBSERVATIONS,
     CrossDecileCell,
     DecileAssignment,
     ReturnsTable,
+    _returns_block,
     build_deciles,
     cross_decile_analysis,
     load_returns,
@@ -163,6 +168,174 @@ class TestLoadReturns:
         _write_panel(path, ["A"], [col], 40)
         table = load_returns(path)
         assert table.series("A").size == 39
+
+
+log = logging.getLogger(__name__)
+
+
+def _load_returns_row_loop(path, min_observations: int = MIN_OBSERVATIONS) -> ReturnsTable:
+    """``load_returns`` as it was before the bulk parse, kept verbatim as
+    the oracle for every file."""
+    records = csv_rows(path, "returns")
+    header = next(records)
+    if not header or header[0].strip().lower() != "date" or len(header) < 2:
+        raise IngestionError(f"{path}: expected header 'date,<ticker>,...', got {header}")
+    tickers = [t.strip() for t in header[1:]]
+    if any(not t for t in tickers):
+        raise IngestionError(f"{path}: blank ticker name in header")
+    seen = set()
+    for t in tickers:
+        if t in seen:
+            raise IngestionError(f"{path}: duplicate ticker {t!r}")
+        seen.add(t)
+    periods = []
+    rows = []
+    for row_no, row in records:
+        if len(row) != len(tickers) + 1:
+            raise IngestionError(
+                f"{path}:{row_no}: expected {len(tickers) + 1} columns, got {len(row)}"
+            )
+        date_text = row[0].strip()
+        try:
+            datetime.date.fromisoformat(date_text)
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{row_no}: bad date {date_text!r}") from exc
+        values = np.full(len(tickers), np.nan)
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise IngestionError(
+                    f"{path}:{row_no}: bad return {cell!r} for {tickers[j]}"
+                ) from exc
+            if not math.isfinite(value):
+                raise IngestionError(
+                    f"{path}:{row_no}: non-finite return {cell!r} for {tickers[j]}"
+                )
+            if value <= -1.0:
+                raise IngestionError(
+                    f"{path}:{row_no}: return {value} for {tickers[j]} is <= -1"
+                )
+            values[j] = value
+        periods.append(date_text)
+        rows.append(values)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    matrix = np.vstack(rows)
+    counts = np.sum(~np.isnan(matrix), axis=0)
+    keep = counts >= min_observations
+    dropped = tuple(t for t, k in zip(tickers, keep) if not k)
+    for t in dropped:
+        log.info("dropping %s: fewer than %d observations", t, min_observations)
+    kept = tuple(t for t, k in zip(tickers, keep) if k)
+    table = ReturnsTable(
+        tickers=kept,
+        periods=tuple(periods),
+        returns=matrix[:, keep],
+        dropped=dropped,
+    )
+    log.info(
+        "loaded %s: %d periods, %d tickers kept, %d dropped",
+        path,
+        len(table.periods),
+        len(kept),
+        len(dropped),
+    )
+    return table
+
+
+RETURNS_HEADERS = [
+    "date,A", "date,A,B,C", " Date , A ,B", "DATE,A,B", "date,A,A", "date,A,",
+    '"date",A,B', 'date,"A\nB"', "date", "day,A,B", "date,caf\u00e9,B",
+]
+RETURNS_NOISE = st.lists(
+    st.sampled_from(list("0123456789.eE+-_, \t\"\r\n") + ["nan", "inf"]), max_size=10
+).map("".join)
+
+
+@st.composite
+def returns_csv_texts(draw):
+    """Returns files, half of them clean (a plain header, ISO dates, assorted
+    number spellings and missing cells) and half messy (odd headers, dates,
+    cells and line ends, and rows that are blank or commas only)."""
+    clean = draw(st.booleans())
+    n_tickers = draw(st.integers(1, 3))
+    header = "date," + ",".join("ABC"[:n_tickers])
+    if not clean:
+        header = draw(st.sampled_from([header] * 4 + RETURNS_HEADERS))
+    number = st.one_of(
+        st.builds(repr, st.floats(-0.99, 5.0)),
+        st.builds("{:.6f}".format, st.floats(-0.99, 5.0)),
+        st.builds("{:.3e}".format, st.floats(-0.99, 5.0)),
+        st.builds(str, st.integers(0, 9)),
+        st.just(""),
+    )
+    special = st.sampled_from(
+        [" 0.5 ", "\t0.1", "nan", "inf", "1e400", "-1", "-1.5", "1_000", "+.5", "-0", "e",
+         "1e", "--1", "."]
+    )
+    cell = number if clean else st.one_of(number, special, RETURNS_NOISE)
+    day = st.dates(datetime.date(1990, 1, 1), datetime.date(2030, 12, 31)).map(str)
+    odd_day = st.sampled_from(["", "Jan-2000", "2000-13-01", " 2000-01-01", "20000101", "2000"])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        date = draw(day if clean else st.one_of(day, odd_day))
+        width = n_tickers if clean else draw(st.sampled_from([n_tickers] * 6 + [0, 1, 4]))
+        rows.append(",".join([date] + [draw(cell) for _ in range(width)]))
+    if not clean:
+        for _ in range(draw(st.integers(0, 2))):
+            filler = draw(st.sampled_from(["", ",", ",,,", " ", draw(RETURNS_NOISE)]))
+            rows.insert(draw(st.integers(0, len(rows))), filler)
+    ends = st.just("\n") if clean else st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in [header, *rows])
+    return text + draw(st.sampled_from(["", "", "\n", "\n\n"]))
+
+
+@given(text=returns_csv_texts(), min_observations=st.integers(1, 4))
+@example(text='date,"A\nB"\n2000-01-01,0.1\n', min_observations=1)
+@example(text="date,A\r2000-01-01,0.1\r2000-02-01,\r", min_observations=1)
+@example(text="date,A,B\r\n2000-01-01,0.1,\r\n2000-02-01,0.2,0.3\r\n", min_observations=1)
+@example(text="date,A\r2000-01-01,0.1\n2000-02-01,0.2\n", min_observations=1)
+@example(text="date,A\n2000-01-01,0." + "0" * 131_071 + "\n", min_observations=1)
+@example(text="date,A,B\n,,\n2000-01-01,0.1,0.2\n,,\n", min_observations=1)
+@example(text="date,A\n2000-01-01, 0.5 \n", min_observations=1)
+@example(text="date,A\n2000-01-01,nan\n", min_observations=1)
+@example(text="date,A\n2000-01-01,1e400\n", min_observations=1)
+@example(text="date,A\n2000-01-01,-1\n", min_observations=1)
+@example(text="date,A\n2000-01-01,1_000\n", min_observations=1)
+@example(text="date,A\n2000-01-01,0.1\n2000-02-01,0.2\n\n\n", min_observations=1)
+@example(text="date,A\n2000-01-01,0.1 caf\udce9\n", min_observations=1)
+@example(text="date,caf\udce9\n2000-01-01,0.1\n", min_observations=1)
+@settings(max_examples=300, deadline=None)
+def test_load_returns_matches_row_loop(tmp_path_factory, text, min_observations):
+    path = tmp_path_factory.getbasetemp() / "differential_returns.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    outcomes = []
+    for reader in (load_returns, _load_returns_row_loop):
+        try:
+            table = reader(path, min_observations)
+            outcomes.append(
+                (table.tickers, table.periods, table.dropped, table.returns.shape,
+                 table.returns.tobytes(), table.returns.flags.c_contiguous)
+            )
+        except IngestionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_bulk_parse_takes_plain_files_only(tmp_path):
+    path = tmp_path / "returns.csv"
+    path.write_text("date,A,B\n2000-01-01,0.1,\n,,\n2000-02-01,-0.5,1e-3\n")
+    periods, matrix = _returns_block(path, 3)
+    assert periods == ["2000-01-01", "2000-02-01"]
+    np.testing.assert_array_equal(matrix, [[0.1, np.nan], [-0.5, 1e-3]])
+    for text in ["date,A\r\n2000-01-01,0.1\r\n", "date,A\n2000-01-01, 0.1\n",
+                 'date,"A"\n2000-01-01,0.1\n', "date,A\n2000-01-01,1e400\n"]:
+        path.write_text(text, newline="")
+        assert _returns_block(path, 2) is None
 
 
 class TestBuildDeciles:

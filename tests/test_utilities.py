@@ -23,6 +23,7 @@ from mvlab.utilities import (
     UtilitySpec,
     approx_table,
     ara,
+    clamped_panel,
     clamped_utility,
     expected_quadratic,
     expected_utility,
@@ -425,6 +426,16 @@ class TestPanelEvaluator:
 
     def test_empty_panel(self):
         assert panel_expected_utility(np.zeros(3), []) == []
+
+    def test_clamped_panel_is_clamped_utility_per_row(self):
+        x = sample(NormalParams(0.01, 0.08), 2_000, seed=33).reshape(40, 50)
+        x[0, :3] = [-1.0, -0.95, -0.9]
+        moved_by_edge = {}
+        for spec, sign, values, moved in clamped_panel(x, self.PANEL):
+            want_values, want_moved = clamped_utility(spec, x)
+            np.testing.assert_array_equal(sign * values, want_values)
+            np.testing.assert_array_equal(moved, want_moved)
+            assert moved is moved_by_edge.setdefault(spec.domain_min, moved)
 
 
 class TestExpectedQuadratic:
