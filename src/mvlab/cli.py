@@ -13,7 +13,6 @@ import datetime
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .distributions import Family
@@ -67,42 +66,23 @@ CLASSIC_UTILITIES = [
 ]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None
-    output_path: str | None
-    master_seed: int | None
-    tool_version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, command, config_path=None, output_path=None, master_seed=None):
-        return cls(
-            command=command,
-            config_path=config_path,
-            output_path=output_path,
-            master_seed=master_seed,
-            tool_version=__version__,
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        )
-
-    def lines(self) -> list[str]:
-        out = [
-            f"# command: {self.command}",
-            f"# config: {self.config_path or '-'}",
-            f"# output: {self.output_path or '-'}",
-            f"# seed: {self.master_seed if self.master_seed is not None else '-'}",
-            f"# version: {self.tool_version}",
-            f"# timestamp: {self.timestamp}",
-        ]
-        return out
+def _manifest_lines(command, config_path, output_path, master_seed) -> list[str]:
+    """The run manifest as ``#`` lines: the command, its input and output
+    paths, the seed, the tool version and the current UTC time."""
+    return [
+        f"# command: {command}",
+        f"# config: {config_path or '-'}",
+        f"# output: {output_path or '-'}",
+        f"# seed: {master_seed if master_seed is not None else '-'}",
+        f"# version: {__version__}",
+        f"# timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
+    ]
 
 
-def _write_report(path, manifest: RunManifest, header: list[str], rows, fmt: str):
-    """CSV or aligned-markdown report with the manifest on top."""
+def _write_report(path, manifest: list[str], header: list[str], rows, fmt: str) -> None:
+    """CSV or aligned-markdown report with the manifest lines on top."""
     cells = [[_cell(v) for v in row] for row in rows]
-    lines = list(manifest.lines())
+    lines = list(manifest)
     if fmt == "csv":
         lines.append(",".join(header))
         lines.extend(",".join(row) for row in cells)
@@ -121,7 +101,6 @@ def _write_report(path, manifest: RunManifest, header: list[str], rows, fmt: str
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    return text
 
 
 def _check_output(path) -> None:
@@ -167,9 +146,7 @@ def cmd_compare(args) -> int:
     if not rules:
         raise UsageError("no rules requested")
     _check_output(args.out)
-    lottery_a = load_lottery(args.lottery_a)
-    lottery_b = load_lottery(args.lottery_b)
-    f, g = ecdf(lottery_a), ecdf(lottery_b)
+    f, g = ecdf(load_lottery(args.lottery_a)), ecdf(load_lottery(args.lottery_b))
     verdicts = {}
     for rule in rules:
         if rule == "fsd":
@@ -179,9 +156,7 @@ def cmd_compare(args) -> int:
         elif rule == "tsd":
             verdicts[rule] = tsd_test(f, g)
         elif rule == "mvc":
-            verdicts[rule] = mvc_test(
-                lottery_a.moment_summary(), lottery_b.moment_summary()
-            )
+            verdicts[rule] = mvc_test(f.moment_summary(), g.moment_summary())
         else:
             verdicts[rule] = quadratic_dominance_test(f, g)
     rows = []
@@ -209,9 +184,7 @@ def cmd_compare(args) -> int:
             label = "clear" if not violated else ", ".join(violated)
             print(f"screen {direction} order {int(order)}: {label}")
     if args.out:
-        manifest = RunManifest.create(
-            "compare", config_path=None, output_path=args.out, master_seed=None
-        )
+        manifest = _manifest_lines("compare", None, args.out, None)
         _write_report(
             args.out, manifest, ["rule", "relation", "strict", "witness"], rows, args.format
         )
@@ -263,9 +236,7 @@ def cmd_approx_table(args) -> int:
         for table in tables:
             row += [table[i][1], table[i][2]]
         rows.append(row)
-    manifest = RunManifest.create(
-        "approx-table", config_path=None, output_path=args.out, master_seed=None
-    )
+    manifest = _manifest_lines("approx-table", None, args.out, None)
     _write_report(args.out, manifest, header, rows, args.format)
     return EXIT_OK
 
@@ -342,12 +313,7 @@ def cmd_simulate(args) -> int:
             )
             for note in report.diagnostics:
                 print(f"  diagnostic: {note}")
-    manifest = RunManifest.create(
-        "simulate",
-        config_path=args.config,
-        output_path=args.out,
-        master_seed=args.seed,
-    )
+    manifest = _manifest_lines("simulate", args.config, args.out, args.seed)
     _write_report(args.out, manifest, header, rows, args.format)
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -377,9 +343,7 @@ def cmd_deciles(args) -> int:
     assignment = build_deciles(table, args.deciles)
     panel = table6_panel()
     cells = cross_decile_analysis(assignment, table, panel)
-    manifest = RunManifest.create(
-        "deciles", config_path=args.returns, output_path=args.out, master_seed=None
-    )
+    manifest = _manifest_lines("deciles", args.returns, args.out, None)
     # statistics as rows, deciles as columns (the printed-table layout)
     stats_header = ["statistic"] + [f"Dec {s.decile}" for s in assignment.stats]
     stats_rows = [

@@ -132,6 +132,21 @@ class MomentSummary:
     kurtosis: float
     n: int
 
+    @classmethod
+    def from_central(cls, mean, var, m3, m4, n) -> "MomentSummary":
+        """Summary of ``n`` points from their mean and second to fourth
+        central moments; a zero-std distribution reports skewness and
+        kurtosis of 0 by convention.  When ``std**3`` or ``var**2`` leaves
+        the float range, the moments are divided by one factor at a time."""
+        std = math.sqrt(var)
+        if std == 0.0:
+            return cls(mean=mean, std=0.0, skewness=0.0, kurtosis=0.0, n=n)
+        try:
+            skewness, kurtosis = m3 / std**3, m4 / var**2
+        except (ZeroDivisionError, OverflowError):
+            skewness, kurtosis = m3 / var / std, m4 / var / var
+        return cls(mean=mean, std=std, skewness=skewness, kurtosis=kurtosis, n=n)
+
 
 @dataclass(frozen=True)
 class MomentTarget:
@@ -250,18 +265,7 @@ def moments(sample_values: np.ndarray) -> MomentSummary:
         x = x.ravel()
     if x.size == 0:
         raise ParameterError("moments() requires a non-empty sample")
-    n = x.size
-    mean, var, m3, m4 = central_moments(x)
-    std = math.sqrt(var)
-    if std == 0.0:
-        return MomentSummary(mean=mean, std=0.0, skewness=0.0, kurtosis=0.0, n=n)
-    return MomentSummary(
-        mean=mean,
-        std=std,
-        skewness=m3 / std**3,
-        kurtosis=m4 / var**2,
-        n=n,
-    )
+    return MomentSummary.from_central(*central_moments(x), n=x.size)
 
 
 def _gev_moment_factors(shape: float) -> tuple[float, float, float]:

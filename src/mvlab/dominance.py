@@ -57,13 +57,40 @@ class DominanceVerdict:
             raise ParameterError("indistinguishable verdicts cannot be strict")
 
 
-def _skewness(var: float, m3: float) -> float:
-    """Standardized third moment; 0 at zero variance by convention."""
-    return 0.0 if var == 0.0 else m3 / var**1.5
+class _MassMoments:
+    """Moments of a finite distribution from ``_mass_points``, its outcomes
+    of positive mass in increasing order and their masses."""
+
+    @cached_property
+    def _central(self) -> tuple[float, float, float, float]:
+        """(mean, var, m3, m4), computed once per instance; not a field, so
+        equality ignores it."""
+        return central_moments(*self._mass_points)
+
+    def mean(self) -> float:
+        return self._central[0]
+
+    def variance(self) -> float:
+        return self._central[1]
+
+    def std(self) -> float:
+        return math.sqrt(self.variance())
+
+    def skewness(self) -> float:
+        return self.moment_summary().skewness
+
+    def min_value(self) -> float:
+        return float(self._mass_points[0][0])
+
+    def max_value(self) -> float:
+        return float(self._mass_points[0][-1])
+
+    def moment_summary(self) -> MomentSummary:
+        return MomentSummary.from_central(*self._central, n=self._mass_points[0].size)
 
 
 @dataclass(frozen=True)
-class DiscreteLottery:
+class DiscreteLottery(_MassMoments):
     """Finite outcome/probability pairs, canonicalized on construction:
     values strictly increasing, duplicates merged, probabilities finite,
     positive and summing to 1 within ``TOL``.
@@ -107,37 +134,9 @@ class DiscreteLottery:
         ps = [p for _, p in pairs]
         return cls(np.array(vals, dtype=float), np.array(ps, dtype=float))
 
-    def mean(self) -> float:
-        return float(np.sum(self.values * self.probs))
-
-    def variance(self) -> float:
-        return central_moments(self.values, self.probs)[1]
-
-    def std(self) -> float:
-        return math.sqrt(self.variance())
-
-    def skewness(self) -> float:
-        _, var, m3, _ = central_moments(self.values, self.probs)
-        return _skewness(var, m3)
-
-    def min_value(self) -> float:
-        return float(self.values[0])
-
-    def max_value(self) -> float:
-        return float(self.values[-1])
-
-    def moment_summary(self) -> MomentSummary:
-        m, var, m3, m4 = central_moments(self.values, self.probs)
-        n = int(self.values.size)
-        if var == 0.0:
-            return MomentSummary(m, 0.0, 0.0, 0.0, n)
-        return MomentSummary(
-            mean=m,
-            std=math.sqrt(var),
-            skewness=_skewness(var, m3),
-            kurtosis=m4 / var**2,
-            n=n,
-        )
+    @property
+    def _mass_points(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.values, self.probs
 
     def affine(self, scale: float, shift: float) -> "DiscreteLottery":
         """Lottery of scale*value + shift; scale must be positive."""
@@ -147,7 +146,7 @@ class DiscreteLottery:
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(_MassMoments):
     """Right-continuous step CDF on a sorted support.
 
     Zero-mass support points are permitted (they arise when a grid is
@@ -193,38 +192,18 @@ class EmpiricalDistribution:
         keep = p > 0.0
         return self.support[keep], p[keep]
 
-    @cached_property
-    def _moments(self) -> tuple[float, float, float, float]:
-        """(mean, var, m3, m4) over the mass points, computed once per
-        instance."""
-        return central_moments(*self._mass_points)
-
-    def mean(self) -> float:
-        return self._moments[0]
-
-    def variance(self) -> float:
-        return self._moments[1]
-
-    def skewness(self) -> float:
-        _, var, m3, _ = self._moments
-        return _skewness(var, m3)
-
-    def min_value(self) -> float:
-        v, _ = self._mass_points
-        return float(v[0])
-
-    def max_value(self) -> float:
-        v, _ = self._mass_points
-        return float(v[-1])
-
 
 def ecdf(source) -> EmpiricalDistribution:
     """Step CDF of a lottery (jumps = probabilities) or sample
-    (jumps = multiplicity / n)."""
+    (jumps = multiplicity / n).  A lottery's CDF keeps the lottery's own
+    masses for its moments, so both report the same moments bit for bit,
+    even for an atom too small to move the running CDF."""
     if isinstance(source, DiscreteLottery):
         cum = np.cumsum(source.probs)
         cum[-1] = 1.0
-        return EmpiricalDistribution(source.values.copy(), cum)
+        dist = EmpiricalDistribution(source.values.copy(), cum)
+        dist.__dict__["_mass_points"] = source._mass_points
+        return dist
     x = np.asarray(source, dtype=float).ravel()
     if x.size == 0:
         raise ParameterError("ecdf requires a non-empty sample")

@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
 
 import numpy as np
 
@@ -61,13 +62,6 @@ class _Family:
     sign: float
     derivatives: Callable
     ara: Callable
-
-    def value(self, a, z):
-        t = self.transform(z)
-        out = np.empty_like(t, dtype=float)  # finish and the sign work in place
-        self.finish(a, t, out)
-        out *= self.sign
-        return out
 
 
 def _exp_of_scaled(scale: float) -> Callable:
@@ -145,8 +139,10 @@ class UtilitySpec:
         """Open lower domain edge; -inf when the domain is all reals."""
         return _FAMILIES[self.family].domain_min(self.a)
 
-    @property
+    @cached_property
     def identifier(self) -> str:
+        """``family:a``, formatted once per instance; not a field, so
+        equality and hashing ignore it."""
         return f"{self.family.value}:{self.a:g}"
 
     def _check_shape(self) -> None:
@@ -202,8 +198,9 @@ def _pointwise(spec: UtilitySpec, z, formula):
 
 
 def utility_value(spec: UtilitySpec, z):
-    """U(z); raises DomainError outside the family's domain."""
-    return _pointwise(spec, z, _FAMILIES[spec.family].value)
+    """U(z); raises DomainError outside the family's domain, so
+    :func:`clamped_utility` moves no draw here."""
+    return _pointwise(spec, z, lambda a, arr: clamped_utility(spec, arr)[0])
 
 
 def utility_derivatives(spec: UtilitySpec, z):

@@ -20,6 +20,7 @@ from mvlab.cli import (
     main,
 )
 from mvlab.distributions import Family, MomentTarget
+from mvlab.dominance import DiscreteLottery, mvc_test
 from mvlab.empirical import _returns_block
 from mvlab.rng import spawn_rng
 from mvlab.simulation import ScenarioSpec, scenario_config_text
@@ -148,6 +149,36 @@ class TestCompare:
             f"usage error: cannot write {out_path}: "
             f"directory {out_path.parent} does not exist\n"
         )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mvc_on_a_spread_matches_lottery_moments(self, tmp_path, capsys, seed):
+        # B splits each atom of A symmetrically at half its mass, so the
+        # means are equal in exact arithmetic and the mvc verdict turns on
+        # the last bits of the two means
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        values_a = np.sort(rng.uniform(-1.0, 1.0, n))
+        probs_a = rng.dirichlet(np.ones(n))
+        widths = rng.uniform(1e-3, 0.5, n)
+        values_b = np.concatenate((values_a - widths, values_a + widths))
+        probs_b = np.concatenate((probs_a, probs_a)) / 2.0
+        paths = []
+        for name, values, probs in (("a", values_a, probs_a), ("b", values_b, probs_b)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(
+                "value,probability\n"
+                + "".join(f"{v!r},{p!r}\n" for v, p in zip(values.tolist(), probs.tolist()))
+            )
+            paths.append(str(path))
+        out_path = tmp_path / "verdicts.csv"
+        assert main(["compare", *paths, "--rules", "mvc", "--out", str(out_path)]) == EXIT_OK
+        want = mvc_test(
+            DiscreteLottery(values_a, probs_a).moment_summary(),
+            DiscreteLottery(values_b, probs_b).moment_summary(),
+        )
+        (row,) = [line for line in out_path.read_text().splitlines() if line.startswith("mvc,")]
+        assert row == f"mvc,{want.relation.value},{want.strict},"
+        assert capsys.readouterr().out.startswith(f"mvc: {want.relation.value}")
 
 
 class TestApproxTable:

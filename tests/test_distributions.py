@@ -13,6 +13,7 @@ from mvlab.distributions import (
     GEVParams,
     GUMBEL_SKEW,
     LaplaceParams,
+    MomentSummary,
     MomentTarget,
     NormalParams,
     SkewNormalParams,
@@ -317,3 +318,59 @@ class TestGLS:
         ulp = 4 * np.spacing(max(abs(var_x), 1.0))
         assert abs(beta**2 + gamma**2 - var_x) <= ulp
         assert abs(beta * mean_y + r - mean_x) <= 4 * np.spacing(max(abs(mean_x), 1.0))
+
+
+def _moments_before(sample_values):
+    """``moments`` as written before the summary moved into
+    ``MomentSummary.from_central``, kept verbatim so that any moved bit
+    shows."""
+    x = np.asarray(sample_values, dtype=float)
+    if x.ndim != 1:
+        x = x.ravel()
+    if x.size == 0:
+        raise ParameterError("moments() requires a non-empty sample")
+    n = x.size
+    mean, var, m3, m4 = central_moments(x)
+    std = math.sqrt(var)
+    if std == 0.0:
+        return MomentSummary(mean=mean, std=0.0, skewness=0.0, kurtosis=0.0, n=n)
+    return MomentSummary(
+        mean=mean,
+        std=std,
+        skewness=m3 / std**3,
+        kurtosis=m4 / var**2,
+        n=n,
+    )
+
+
+def _summary_bits(summary):
+    return [float(getattr(summary, f)).hex() for f in ("mean", "std", "skewness", "kurtosis")] + [
+        summary.n
+    ]
+
+
+@pytest.mark.parametrize("layout", ["random", "constant", "strided", "2-D"])
+@pytest.mark.parametrize("name", ["normal", "stable", "offset_1e3"])
+def test_moments_bit_identical_to_former_body(name, layout):
+    x = _reference_samples()[name][:5000]
+    if layout == "constant":
+        x = np.full(37, x[0])
+    elif layout == "strided":
+        x = x[::3]
+    elif layout == "2-D":
+        x = x.reshape(50, 100)
+    got, want = moments(x), _moments_before(x)
+    assert _summary_bits(got) == _summary_bits(want)
+    assert type(got.n) is type(want.n)
+
+
+def test_from_central_divides_factorwise_outside_the_float_range():
+    # std**3 underflows to 0 at var = 1e-300 and var**2 overflows at 1e200
+    tiny = MomentSummary.from_central(0.0, 1e-300, 1e-300, 1e-300, n=2)
+    assert tiny.skewness == pytest.approx(1e150, rel=1e-12)
+    assert tiny.kurtosis == pytest.approx(1e300, rel=1e-12)
+    huge = MomentSummary.from_central(0.0, 1e200, 1e300, 1e300, n=2)
+    assert huge.skewness == pytest.approx(1e300 / 1e200 / 1e100, rel=1e-12)
+    assert huge.kurtosis == pytest.approx(1e-100, rel=1e-12)
+    lottery = DiscreteLottery([0.0, 1.0], [1.0, 1e-300])
+    assert lottery.skewness() == pytest.approx(1e150, rel=1e-12)

@@ -686,3 +686,29 @@ def test_lottery_canonicalization_matches_unique_bincount(values, seed):
     lottery = DiscreteLottery(values, probs)
     assert lottery.values.tobytes() == uniq.tobytes()
     assert lottery.probs.tobytes() == merged.tobytes()
+
+
+@st.composite
+def _lotteries_with_tiny_atoms(draw):
+    """Lotteries whose atoms may carry a probability far below the ulp of
+    the running CDF, beside the ordinary ones."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True))
+    weights = draw(
+        st.lists(
+            st.floats(0.01, 1.0) | st.sampled_from([1e-17, 1e-12, 1e-300]),
+            min_size=n, max_size=n,
+        ).filter(lambda w: max(w) >= 0.01)
+    )
+    return DiscreteLottery(np.array(values), np.array(weights) / np.sum(weights))
+
+
+@given(lottery=_lotteries_with_tiny_atoms())
+@example(lottery=DiscreteLottery([0.0, 5.0], [1.0, 1e-17]))
+@example(lottery=DiscreteLottery([0.0, 1.0], [1.0, 1e-300]))
+@settings(max_examples=200, deadline=None)
+def test_ecdf_reports_its_lotterys_moments(lottery):
+    dist = ecdf(lottery)
+    for name in ("mean", "variance", "skewness", "min_value", "max_value", "moment_summary"):
+        assert getattr(dist, name)() == getattr(lottery, name)(), name
+    assert dist.max_value() == float(lottery.values[-1])

@@ -18,6 +18,7 @@ from mvlab.distributions import (
 from mvlab.dominance import DiscreteLottery
 from mvlab.errors import DomainError, ParameterError
 from mvlab.utilities import (
+    _FAMILIES,
     Expansion,
     UtilityFamily,
     UtilitySpec,
@@ -366,6 +367,32 @@ class TestFamilyTableOracle:
             assert derivs == tuple(float(u) for u in _oracle_derivatives(spec, arr))
             risk = ara(spec, z)
             assert type(risk) is float and risk == float(_oracle_ara(spec, arr))
+
+
+def _family_value_before(spec, z):
+    """U as the family table composed it before ``utility_value`` went
+    through ``clamped_utility``, kept verbatim so that any moved bit shows."""
+    family = _FAMILIES[spec.family]
+    t = family.transform(z)
+    out = np.empty_like(t, dtype=float)  # finish and the sign work in place
+    family.finish(spec.a, t, out)
+    out *= family.sign
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", table6_panel() + [UtilitySpec(UtilityFamily.LOG, 0.3)], ids=str
+)
+def test_utility_value_bit_identical_to_family_composition(spec):
+    lo = spec.domain_min
+    start = -5.0 if lo == -math.inf else lo
+    grid = start + np.concatenate((np.logspace(-9, 0, 60), np.linspace(1.0, 12.0, 2000)))
+    got, want = utility_value(spec, grid), _family_value_before(spec, grid)
+    assert got.tobytes() == want.tobytes()
+    for z in grid[::50]:
+        value = utility_value(spec, float(z))
+        want = float(_family_value_before(spec, np.asarray(float(z))))
+        assert type(value) is float and value.hex() == want.hex()
 
 
 _PANEL_SAMPLES = {
