@@ -15,7 +15,6 @@ import os
 import sys
 
 from . import __version__
-from .distributions import Family
 from .dominance import (
     DominanceVerdict,
     Order,
@@ -53,7 +52,6 @@ EXIT_INGESTION = 3
 EXIT_GENERATION = 4
 EXIT_DOMAIN = 5
 
-RULES = ("fsd", "ssd", "tsd", "mvc", "quad")
 MAX_GRID_ROWS = 100_000
 
 # The classic approximation table: ln(1+z), sqrt(1+z), cbrt(1+z) on a
@@ -139,26 +137,23 @@ def _verdict_text(v: DominanceVerdict) -> str:
 
 
 def cmd_compare(args) -> int:
+    # built per call, so each rule resolves its test at this module's attribute
+    tests = {
+        "fsd": fsd_test,
+        "ssd": ssd_test,
+        "tsd": tsd_test,
+        "mvc": lambda f, g: mvc_test(f.moment_summary(), g.moment_summary()),
+        "quad": quadratic_dominance_test,
+    }
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    unknown = [r for r in rules if r not in RULES]
+    unknown = [r for r in rules if r not in tests]
     if unknown:
-        raise UsageError(f"unknown rules {unknown}; choose from {','.join(RULES)}")
+        raise UsageError(f"unknown rules {unknown}; choose from {','.join(tests)}")
     if not rules:
         raise UsageError("no rules requested")
     _check_output(args.out)
     f, g = ecdf(load_lottery(args.lottery_a)), ecdf(load_lottery(args.lottery_b))
-    verdicts = {}
-    for rule in rules:
-        if rule == "fsd":
-            verdicts[rule] = fsd_test(f, g)
-        elif rule == "ssd":
-            verdicts[rule] = ssd_test(f, g)
-        elif rule == "tsd":
-            verdicts[rule] = tsd_test(f, g)
-        elif rule == "mvc":
-            verdicts[rule] = mvc_test(f.moment_summary(), g.moment_summary())
-        else:
-            verdicts[rule] = quadratic_dominance_test(f, g)
+    verdicts = {rule: tests[rule](f, g) for rule in rules}
     rows = []
     for rule, verdict in verdicts.items():
         rows.append(

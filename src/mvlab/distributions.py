@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import InfeasibleTargetError, ParameterError, UnsupportedFamilyError
@@ -129,23 +128,22 @@ class MomentSummary:
     mean: float
     std: float
     skewness: float
-    kurtosis: float
     n: int
 
     @classmethod
-    def from_central(cls, mean, var, m3, m4, n) -> "MomentSummary":
-        """Summary of ``n`` points from their mean and second to fourth
-        central moments; a zero-std distribution reports skewness and
-        kurtosis of 0 by convention.  When ``std**3`` or ``var**2`` leaves
-        the float range, the moments are divided by one factor at a time."""
+    def from_central(cls, mean, var, m3, n) -> "MomentSummary":
+        """Summary of ``n`` points from their mean and second and third
+        central moments; a zero-std distribution reports skewness 0 by
+        convention.  When ``std**3`` leaves the float range, ``m3`` is
+        divided by one factor at a time."""
         std = math.sqrt(var)
         if std == 0.0:
-            return cls(mean=mean, std=0.0, skewness=0.0, kurtosis=0.0, n=n)
+            return cls(mean=mean, std=0.0, skewness=0.0, n=n)
         try:
-            skewness, kurtosis = m3 / std**3, m4 / var**2
+            skewness = m3 / std**3
         except (ZeroDivisionError, OverflowError):
-            skewness, kurtosis = m3 / var / std, m4 / var / var
-        return cls(mean=mean, std=std, skewness=skewness, kurtosis=kurtosis, n=n)
+            skewness = m3 / var / std
+        return cls(mean=mean, std=std, skewness=skewness, n=n)
 
 
 @dataclass(frozen=True)
@@ -235,13 +233,13 @@ def _sample_stable(p: StableParams, n: int, rng: np.random.Generator) -> np.ndar
 
 
 def central_moments(values: np.ndarray, weights: np.ndarray | None = None):
-    """(mean, var, m3, m4): the mean and the second to fourth central
-    moments of ``values``, divide-by-n when ``weights`` is None and
-    probability weighted otherwise.  Powers are products, so one squared
-    deviation feeds var, m3 and m4 (NumPy's ``**3`` and ``**4`` go
-    through ``pow`` and cost about 50 times as much).  The unweighted
-    average is ``np.mean``'s own sum and division on float input, bit for
-    bit, without its Python wrapper.
+    """(mean, var, m3): the mean and the second and third central moments
+    of ``values``, divide-by-n when ``weights`` is None and probability
+    weighted otherwise.  Powers are products, so one squared deviation
+    feeds var and m3 (NumPy's ``**3`` goes through ``pow`` and costs
+    about 50 times as much).  The unweighted average is ``np.mean``'s own
+    sum and division on float input, bit for bit, without its Python
+    wrapper.
     """
 
     def average(a: np.ndarray) -> float:
@@ -252,13 +250,13 @@ def central_moments(values: np.ndarray, weights: np.ndarray | None = None):
     mean = average(values)
     centered = values - mean
     squared = centered * centered
-    return mean, average(squared), average(squared * centered), average(squared * squared)
+    return mean, average(squared), average(squared * centered)
 
 
 def moments(sample_values: np.ndarray) -> MomentSummary:
-    """Population moments of a sample: mean, divide-by-n std, standardized
-    third and fourth central moments.  A zero-std sample reports skewness
-    and kurtosis of 0 by convention.
+    """Population moments of a sample: mean, divide-by-n std and
+    standardized third central moment.  A zero-std sample reports skewness
+    0 by convention.
     """
     x = np.asarray(sample_values, dtype=float)
     if x.ndim != 1:
@@ -277,6 +275,8 @@ def _gev_moment_factors(shape: float) -> tuple[float, float, float]:
     """
     if shape == 0.0:
         return _EULER_GAMMA, math.pi / math.sqrt(6.0), GUMBEL_SKEW
+    import mpmath  # here, not at the top: only GEV moments need it
+
     with mpmath.workdps(40):
         k = mpmath.mpf(shape)
         g1 = mpmath.gamma(1 - k)

@@ -62,8 +62,8 @@ class _MassMoments:
     of positive mass in increasing order and their masses."""
 
     @cached_property
-    def _central(self) -> tuple[float, float, float, float]:
-        """(mean, var, m3, m4), computed once per instance; not a field, so
+    def _central(self) -> tuple[float, float, float]:
+        """(mean, var, m3), computed once per instance; not a field, so
         equality ignores it."""
         return central_moments(*self._mass_points)
 

@@ -74,7 +74,6 @@ class DecileAssignment:
     negatively skewed tickers.  Sizes differ by at most one."""
 
     deciles: tuple[tuple[str, ...], ...]
-    decile_of: dict[str, int]
     stats: tuple[DecileStats, ...]
 
 
@@ -237,7 +236,6 @@ def build_deciles(table: ReturnsTable, d: int) -> DecileAssignment:
     ordered = sorted(table.tickers, key=lambda t: (per_ticker[t].skewness, t))
     blocks = [list(b) for b in np.array_split(np.array(ordered, dtype=object), d)]
     deciles = tuple(tuple(str(t) for t in block) for block in blocks)
-    decile_of = {t: k + 1 for k, block in enumerate(deciles) for t in block}
     stats = []
     for k, block in enumerate(deciles, start=1):
         ms = [per_ticker[t] for t in block]
@@ -250,7 +248,7 @@ def build_deciles(table: ReturnsTable, d: int) -> DecileAssignment:
                 skewness=float(np.mean([m.skewness for m in ms])),
             )
         )
-    return DecileAssignment(deciles=deciles, decile_of=decile_of, stats=tuple(stats))
+    return DecileAssignment(deciles=deciles, stats=tuple(stats))
 
 
 def _mean_std(sums: np.ndarray, sums_sq: np.ndarray, n: np.ndarray):

@@ -193,11 +193,11 @@ def _attempt_solvable(spec: ScenarioSpec, pair_index: int, attempt: int):
     z2 = sample_with_rng(
         params_2, spec.n_obs, spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt)
     )
-    return z1, z2, moments(z1), moments(z2)
+    return z1, z2
 
 
 def _attempt_stable(spec: ScenarioSpec, pair_index: int, attempt: int):
-    """One stable candidate (z1, z2, m1, m2), or None when rejected.
+    """One stable candidate (z1, z2), or None when rejected.
 
     Standardized noise is drawn for both lotteries, then location/scale
     are set from realized sample moments so the mean and std ratios land
@@ -238,25 +238,13 @@ def _attempt_stable(spec: ScenarioSpec, pair_index: int, attempt: int):
     scale_1 = m2.std / (r_std * noise_m1.std)
     location_1 = r_mean * m2.mean - scale_1 * noise_m1.mean
     z1 = location_1 + scale_1 * noise_1
-    return z1, z2, moments(z1), m2
-
-
-def _agreement(z1: np.ndarray, z2: np.ndarray, utilities) -> dict[str, bool]:
-    """Per-utility flags E[U(Z1)] >= E[U(Z2)] (ties agree).  Raises
-    DomainError when any utility's clamping budget is exceeded."""
-    eu1 = panel_expected_utility(z1, utilities)
-    eu2 = panel_expected_utility(z2, utilities)
-    return {
-        utility.identifier: bool(u1 >= u2)
-        for utility, (u1, _), (u2, _) in zip(utilities, eu1, eu2)
-    }
+    return z1, z2
 
 
 def _accepted_pair(spec: ScenarioSpec, utilities, pair_index: int):
     """The pair-attempt loop: (z1, z2, agreement, attempt) for the first
-    attempt whose sample moments satisfy the MV ordering and whose samples
-    keep every utility within its clamping budget.  Every rejected attempt
-    (MV miss, stable rejection, clamp breach) advances to a fresh derived
+    attempt that :func:`evaluate_pair` accepts.  Every rejected attempt
+    (stable rejection, MV miss, clamp breach) advances to a fresh derived
     attempt, so the accepted index counts the regenerations."""
     stable = spec.family is Family.STABLE
     attempt_pair = _attempt_stable if stable else _attempt_solvable
@@ -265,14 +253,11 @@ def _accepted_pair(spec: ScenarioSpec, utilities, pair_index: int):
         candidate = attempt_pair(spec, pair_index, attempt)
         if candidate is None:
             continue
-        z1, z2, m1, m2 = candidate
-        if not satisfies_mv(m1, m2):
-            continue
         try:
-            agreement = _agreement(z1, z2, utilities)
-        except DomainError:
+            outcome = evaluate_pair(candidate, utilities, pair_index)
+        except (ParameterError, DomainError):
             continue
-        return z1, z2, agreement, attempt
+        return *candidate, outcome.per_utility_agreement, attempt
     raise GenerationError(
         f"scenario {spec.scenario_id!r}: pair {pair_index} exceeded the "
         f"{cap}-attempt generation cap"
@@ -314,11 +299,16 @@ def evaluate_pair(
             f"pair {pair_index} violates the MV ordering: "
             f"means {m1.mean:.6g}/{m2.mean:.6g}, stds {m1.std:.6g}/{m2.std:.6g}"
         )
+    eu1 = panel_expected_utility(z1, utilities)
+    eu2 = panel_expected_utility(z2, utilities)
     return PairOutcome(
         pair_index=pair_index,
         sample_moments_1=m1,
         sample_moments_2=m2,
-        per_utility_agreement=_agreement(z1, z2, utilities),
+        per_utility_agreement={
+            utility.identifier: bool(u1 >= u2)
+            for utility, (u1, _), (u2, _) in zip(utilities, eu1, eu2)
+        },
     )
 
 

@@ -106,7 +106,7 @@ class TestCompare:
         _, z2 = lottery_files
         argv = ["compare", str(tmp_path / "nope.csv"), str(z2), "--rules", "fsd,zzz"]
         assert main(argv) == EXIT_USAGE
-        assert "unknown rules ['zzz']" in capsys.readouterr().err
+        assert "unknown rules ['zzz']; choose from fsd,ssd,tsd,mvc,quad" in capsys.readouterr().err
 
     def test_missing_file_ingestion_error(self, tmp_path, lottery_files):
         z1, _ = lottery_files
@@ -575,13 +575,29 @@ class TestDeciles:
         assert f"--deciles must be >= 2, got {deciles}" in capsys.readouterr().err
 
 
-def test_start_up_imports_no_scipy():
-    # SciPy's import alone took about 0.6 s of every command's start-up
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this mvlab."""
     src = str(Path(mvlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return run.stdout.strip()
+
+
+def test_start_up_imports_no_scipy():
+    # SciPy's import alone took about 0.6 s of every command's start-up
     code = (
         "import sys, mvlab.cli; mvlab.cli.build_parser(); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_mpmath_imported_only_for_gev_moments():
+    # mpmath took about 30 ms of every command's start-up; only GEV needs it
+    code = (
+        "import sys, mvlab.cli; mvlab.cli.build_parser(); print('mpmath' in sys.modules); "
+        "from mvlab.distributions import Family, MomentTarget, solve_params_for_moments; "
+        "solve_params_for_moments(Family.GEV, MomentTarget(0.01, 0.16, 0.35)); "
+        "print('mpmath' in sys.modules)"
+    )
+    assert _fresh_interpreter(code).split() == ["False", "True"]

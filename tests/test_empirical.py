@@ -362,7 +362,6 @@ class TestBuildDeciles:
         assignment = build_deciles(load_returns(path), 10)
         flat = [t for block in assignment.deciles for t in block]
         assert sorted(flat) == sorted(tickers)
-        assert set(assignment.decile_of) == set(tickers)
 
     def test_equal_skews_tie_break_by_ticker(self, tmp_path):
         path = tmp_path / "returns.csv"
@@ -539,7 +538,6 @@ class TestLoopOracle:
         table = _table([safe, edgy, calm])
         assignment = DecileAssignment(
             deciles=(("T00",), ("T01", "T02")),
-            decile_of={"T00": 1, "T01": 2, "T02": 2},
             stats=(),
         )
         utilities = [LOG09, LOG1]

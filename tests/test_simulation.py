@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mvlab.distributions import (
     sample,
     sample_with_rng,
 )
-from mvlab.errors import GenerationError, ParameterError, UsageError
+from mvlab.dominance import satisfies_mv
+from mvlab.errors import DomainError, GenerationError, ParameterError, UsageError
 from mvlab.simulation import (
     _STREAM_PARAMS,
     _STREAM_Z1,
@@ -36,7 +38,7 @@ from mvlab.simulation import (
     scenario_config_text,
 )
 from mvlab.rng import spawn_rng
-from mvlab.utilities import Expansion, UtilityFamily, UtilitySpec
+from mvlab.utilities import Expansion, UtilityFamily, UtilitySpec, panel_expected_utility
 
 
 def _spec(**overrides):
@@ -53,6 +55,9 @@ def _spec(**overrides):
     base.update(overrides)
     return ScenarioSpec(**base)
 
+
+_STABLE_CELL = dict(mean_ratio=(1.01, 1.1), std_ratio=(1.01, 1.1),
+                    base=MomentTarget(0.01, 0.03, 0.2))
 
 LOG1 = UtilitySpec(UtilityFamily.LOG, 1.0)
 SQRT = UtilitySpec(UtilityFamily.POWER, 0.5)
@@ -257,6 +262,53 @@ class TestAttemptLoop:
         recount = {uid: 100.0 * n / spec.n_pairs for uid, n in counts.items()}
         assert report.success_pct == recount
 
+    @pytest.mark.parametrize(
+        "overrides, reasons",
+        [
+            (dict(), {"ParameterError"}),
+            (dict(family=Family.LAPLACE), {"ParameterError"}),
+            (
+                dict(family=Family.SKEW_NORMAL, skew_ratio=1.5,
+                     base=MomentTarget(0.01, 0.0235, 0.33)),
+                {"ParameterError"},
+            ),
+            (
+                dict(family=Family.GEV, skew_ratio=3.0, base=MomentTarget(0.01, 0.16, 0.35)),
+                {"ParameterError"},
+            ),
+            (dict(family=Family.STABLE, skew_ratio=(1.5, 3.0), **_STABLE_CELL), set()),
+            (dict(family=Family.STABLE, **_STABLE_CELL), set()),
+            # a draw at or below log:1's edge breaches the budget at 1,000 draws
+            (dict(base=MomentTarget(0.01, 0.3)), {"ParameterError", "DomainError"}),
+        ],
+        ids=["normal", "laplace", "skew_normal", "gev", "stable_banded",
+             "stable_unbanded", "clamp_breach"],
+    )
+    def test_matches_inline_judging(self, monkeypatch, overrides, reasons):
+        # every attempt is judged by the module's evaluate_pair, and the
+        # accepted pair, its agreement and its attempt index are the ones
+        # the loop found when it judged attempts inline
+        spec = _spec(**{"mean_ratio": 1.01, "std_ratio": 1.01, "n_obs": 1000, **overrides})
+        utilities = [LOG1, SQRT, NEG_EXP10]
+        raised = Counter()
+        evaluate = simulation.evaluate_pair
+
+        def recording_evaluate(pair, utilities, pair_index):
+            try:
+                return evaluate(pair, utilities, pair_index)
+            except (ParameterError, DomainError) as exc:
+                raised[type(exc).__name__] += 1
+                raise
+
+        monkeypatch.setattr(simulation, "evaluate_pair", recording_evaluate)
+        for pair_index in range(spec.n_pairs):
+            got = simulation._accepted_pair(spec, utilities, pair_index)
+            want = _accepted_pair_inline(spec, utilities, pair_index)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2:] == want[2:]
+        assert set(raised) == reasons
+
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         created = _recording_pool(monkeypatch, cpu_count=3)
         spec = _spec(n_pairs=3)
@@ -372,7 +424,56 @@ def _attempt_stable_two_draws(spec, pair_index, attempt):
     scale_1 = m2.std / (r_std * noise_m1.std)
     location_1 = r_mean * m2.mean - scale_1 * noise_m1.mean
     z1 = location_1 + scale_1 * noise_1
-    return z1, z2, moments(z1), m2
+    return z1, z2
+
+
+def _with_moments(attempt_pair):
+    """An attempt as it was when the loop judged it inline: the candidate
+    followed by the sample moments of z1 and of z2."""
+
+    def attempt(spec, pair_index, attempt):
+        candidate = attempt_pair(spec, pair_index, attempt)
+        if candidate is None:
+            return None
+        z1, z2 = candidate
+        return z1, z2, moments(z1), moments(z2)
+
+    return attempt
+
+
+def _agreement_inline(z1, z2, utilities):
+    # verbatim copy of the former simulation._agreement
+    eu1 = panel_expected_utility(z1, utilities)
+    eu2 = panel_expected_utility(z2, utilities)
+    return {
+        utility.identifier: bool(u1 >= u2)
+        for utility, (u1, _), (u2, _) in zip(utilities, eu1, eu2)
+    }
+
+
+def _accepted_pair_inline(spec, utilities, pair_index):
+    # verbatim copy of _accepted_pair when it judged each attempt inline
+    stable = spec.family is Family.STABLE
+    attempt_pair = _with_moments(
+        simulation._attempt_stable if stable else simulation._attempt_solvable
+    )
+    cap = simulation.STABLE_ATTEMPT_CAP if stable else simulation.SOLVABLE_ATTEMPT_CAP
+    for attempt in range(cap):
+        candidate = attempt_pair(spec, pair_index, attempt)
+        if candidate is None:
+            continue
+        z1, z2, m1, m2 = candidate
+        if not satisfies_mv(m1, m2):
+            continue
+        try:
+            agreement = _agreement_inline(z1, z2, utilities)
+        except DomainError:
+            continue
+        return z1, z2, agreement, attempt
+    raise GenerationError(
+        f"scenario {spec.scenario_id!r}: pair {pair_index} exceeded the "
+        f"{cap}-attempt generation cap"
+    )
 
 
 class TestAttemptStableEarlyExit:
@@ -392,7 +493,6 @@ class TestAttemptStableEarlyExit:
                     rejected += 1
                     continue
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-                assert got[2:] == want[2:]
         assert 0 < rejected < 144 if skew_ratio else rejected == 0
 
     def test_z2_not_drawn_after_nonpositive_skew(self, monkeypatch):
