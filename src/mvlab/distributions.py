@@ -266,6 +266,7 @@ def moments(sample_values: np.ndarray) -> MomentSummary:
     return MomentSummary.from_central(*central_moments(x), n=x.size)
 
 
+@lru_cache(maxsize=256)
 def _gev_moment_factors(shape: float) -> tuple[float, float, float]:
     """(g1-based mean offset, std factor, skewness) of a unit-scale GEV.
 

@@ -417,9 +417,9 @@ class TestSimulate:
         real_pool, real_run_scenario = simulation.ProcessPoolExecutor, cli.run_scenario
 
         class CountingPool(real_pool):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, initializer=initializer)
 
         def recording_run_scenario(*args, **kwargs):
             reports.append(real_run_scenario(*args, **kwargs))
@@ -600,4 +600,20 @@ def test_mpmath_imported_only_for_gev_moments():
         "solve_params_for_moments(Family.GEV, MomentTarget(0.01, 0.16, 0.35)); "
         "print('mpmath' in sys.modules)"
     )
+    assert _fresh_interpreter(code).split() == ["False", "True"]
+
+
+def test_pool_with_gev_cells_imports_mpmath_before_forking():
+    # each forked worker imported mpmath on its first GEV solve instead,
+    # 37-47 ms per worker and run
+    code = """
+import dataclasses, os, sys
+os.cpu_count = lambda: 2
+from mvlab.simulation import default_scenarios, pair_results
+from mvlab.utilities import table6_panel
+cells = {s.family.value: dataclasses.replace(s, n_obs=1000, n_pairs=2) for s in default_scenarios()}
+for family in ("normal", "gev"):
+    with pair_results([cells["normal"], cells[family]], table6_panel(), workers=2):
+        print("mpmath" in sys.modules)
+"""
     assert _fresh_interpreter(code).split() == ["False", "True"]

@@ -20,6 +20,7 @@ from mvlab.distributions import (
     SkewNormalParams,
     StableParams,
     _bisect,
+    _gev_moment_factors,
     _solve_gev_shape,
     central_moments,
     gev_skewness,
@@ -246,6 +247,16 @@ class TestSolver:
             root = scipy_optimize.bisect(f, lo, hi, xtol=1e-15)
             assert _bisect(f, lo, hi, xtol=1e-15) == root
             assert _solve_gev_shape(skew) == root
+
+    def test_gev_moment_factors_cached_bit_for_bit(self):
+        # bench/run.py clears every mvlab lru_cache through cache_clear
+        _gev_moment_factors.cache_clear()
+        shapes = (-0.3, -0.01, 0.0, 1e-9, 0.2, 0.33)
+        direct = [_gev_moment_factors.__wrapped__(k) for k in shapes]
+        assert [_gev_moment_factors(k) for k in shapes] == direct
+        assert [_gev_moment_factors(k) for k in shapes] == direct
+        info = _gev_moment_factors.cache_info()
+        assert (info.hits, info.misses) == (len(shapes), len(shapes))
 
     def test_bisection_failures(self):
         with pytest.raises(InfeasibleTargetError, match="no sign change"):

@@ -1,4 +1,5 @@
 import math
+import types
 from collections import Counter
 
 import numpy as np
@@ -338,6 +339,17 @@ class TestAttemptLoop:
         assert [r.n_regenerations for r in pooled] == [r.n_regenerations for r in serial]
         assert [r.n_pairs_run for r in pooled] == list(n_pairs)
 
+    def test_pool_workers_start_with_the_allocator_setting(self, monkeypatch):
+        _recording_pool(monkeypatch, cpu_count=2)
+        list(run_scenarios([_spec(n_pairs=2)], [LOG1], workers=2))
+        assert simulation.ProcessPoolExecutor.initializers == [simulation._keep_freed_memory]
+
+    def test_serial_run_leaves_the_allocator_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation, "_keep_freed_memory", lambda: calls.append(1))
+        list(run_scenarios([_spec(n_pairs=2)], [LOG1], workers=1))
+        assert calls == []
+
     def test_empty_panel_rejected_before_iteration(self):
         with pytest.raises(ParameterError, match="at least one utility"):
             run_scenarios([_spec(n_pairs=1)], [])
@@ -370,12 +382,17 @@ class TestAttemptLoop:
 
 def _recording_pool(monkeypatch, cpu_count):
     """Patch in a ProcessPoolExecutor stand-in that runs the tasks
-    in-process and records each pool's size; returns that record."""
+    in-process and records each pool's size, which it returns, and its
+    worker initializer, in ``simulation.ProcessPoolExecutor.initializers``
+    (never called: it would act on this process)."""
     created = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        initializers = []
+
+        def __init__(self, max_workers, initializer=None):
             created.append(max_workers)
+            self.initializers.append(initializer)
 
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
@@ -386,6 +403,25 @@ def _recording_pool(monkeypatch, cpu_count):
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpu_count)
     return created
+
+
+class TestKeepFreedMemory:
+    def test_raises_the_mmap_then_the_trim_threshold(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(simulation.ctypes, "CDLL", lambda name: libc)
+        simulation._keep_freed_memory()
+        assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        # musl and macOS: the C library has no mallopt
+        monkeypatch.setattr(simulation.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert simulation._keep_freed_memory() is None
 
 
 def _attempt_stable_two_draws(spec, pair_index, attempt):
