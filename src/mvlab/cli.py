@@ -261,8 +261,6 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             kwargs["master_seed"] = args.seed
         scenarios = default_scenarios(**kwargs)
-    if not scenarios:
-        raise UsageError("scenario list is empty")
     panel = table6_panel()
     header = [
         "scenario_id",

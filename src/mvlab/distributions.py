@@ -423,12 +423,8 @@ def solve_params_for_moments(family: Family, target: MomentTarget) -> FamilyPara
         return _solve_skew_normal(target)
     if family is Family.GEV:
         return _solve_gev(target)
-    if family is Family.STABLE:
-        raise UnsupportedFamilyError(
-            "stable population moments are undefined; use the simulation "
-            "module's sample-moment rejection path"
-        )
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
+    raise UnsupportedFamilyError("stable population moments are undefined; use the "
+                                 "simulation module's sample-moment rejection path")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 
 import numpy as np
@@ -181,6 +181,18 @@ def _solvable_targets(
     target_1 = MomentTarget(spec.base.mean * r_mean, spec.base.std / r_std, skew_1)
     target_2 = MomentTarget(spec.base.mean, spec.base.std, skew_2)
     return target_1, target_2
+
+
+def _solve_ratio_ends(spec: ScenarioSpec) -> None:
+    """Solve a solvable cell's targets with its ratios at either end of their
+    intervals, so an infeasible one fails before any pair runs.  The ends
+    suffice: targets are monotone in the ratios, feasible skewnesses an interval."""
+    if spec.family is not Family.STABLE:
+        for end in (0, 1):
+            point = replace(spec, mean_ratio=spec.mean_ratio[end], std_ratio=spec.std_ratio[end],
+                            skew_ratio=spec.skew_ratio and spec.skew_ratio[end])
+            for target in _solvable_targets(point, None):  # a point interval draws nothing
+                solve_params_for_moments(spec.family, target)
 
 
 def _attempt_solvable(spec: ScenarioSpec, pair_index: int, attempt: int):
@@ -599,7 +611,8 @@ def load_scenario_config(
 ) -> list[ScenarioSpec]:
     """Parse an INI scenario file: one section per cell with keys family,
     mean_ratio, std_ratio, base_mean, base_std, n_obs, n_pairs, seed and
-    optionally skew_ratio / base_skew.  Intervals use ``lo..hi``."""
+    optionally skew_ratio / base_skew.  Intervals use ``lo..hi``.  A cell
+    with a target that cannot be solved is a usage error."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -632,6 +645,7 @@ def load_scenario_config(
                     seed_override if seed_override is not None else int(cell["seed"])
                 ),
             )
+            _solve_ratio_ends(spec)
         except KeyError as exc:
             raise UsageError(f"[{section}] missing key {exc.args[0]!r}") from exc
         except (ValueError, ParameterError, configparser.Error) as exc:

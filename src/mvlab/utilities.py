@@ -70,6 +70,11 @@ def _exp_of_scaled(scale: float) -> Callable:
     return lambda a, t, out: np.exp(np.multiply(t, scale * a, out=out), out=out)
 
 
+def _times(k, x):
+    """k * x, but 0 where k or x underflowed to 0 and the other overflowed (inf * 0 is NaN)."""
+    return np.multiply(k, x, out=np.zeros_like(x), where=(k != 0.0) & (x != 0.0))
+
+
 def _power_of_1pz(sign: float, a_max: float) -> _Family:
     """c*(1+z)^p with (p, c) = (sign*a, sign): power for sign +1, neg_power
     for -1.  Negation is exact, so both match their textbook forms bit for
@@ -80,7 +85,7 @@ def _power_of_1pz(sign: float, a_max: float) -> _Family:
         k1 = sign * p
         k2 = k1 * (p - 1.0)
         k3 = k2 * (p - 2.0)
-        return k1 * w ** (p - 1.0), k2 * w ** (p - 2.0), k3 * w ** (p - 3.0)
+        return _times(k1, w ** (p - 1.0)), _times(k2, w ** (p - 2.0)), _times(k3, w ** (p - 3.0))
 
     return _Family(
         a_max, lambda a: -1.0, np.log1p, _exp_of_scaled(sign), sign,
@@ -90,7 +95,7 @@ def _power_of_1pz(sign: float, a_max: float) -> _Family:
 
 def _neg_exp_derivatives(a, z):
     e = np.exp(-a * (1.0 + z))
-    return a * e, -a * a * e, a**3 * e
+    return _times(a, e), _times(-a * a, e), _times(np.float64(a) ** 3, e)
 
 
 def _identity(z):
@@ -132,7 +137,6 @@ class UtilitySpec:
             raise ParameterError(
                 f"{fam.value} parameter must lie in (0, {a_max:g}), got {self.a}"
             )
-        self._check_shape()
 
     @property
     def domain_min(self) -> float:
@@ -144,18 +148,6 @@ class UtilitySpec:
         """``family:a``, formatted once per instance; not a field, so
         equality and hashing ignore it."""
         return f"{self.family.value}:{self.a:g}"
-
-    def _check_shape(self) -> None:
-        # Increasing, concave, non-negative third derivative, probed on a
-        # 100-point grid just above the domain edge.
-        lo = self.domain_min
-        start = -2.0 if lo == -math.inf else lo + 1e-3
-        grid = np.linspace(start, start + 3.0, 100)
-        u1, u2, u3 = utility_derivatives(self, grid)
-        if not (np.all(u1 > 0.0) and np.all(u2 < 0.0) and np.all(u3 >= 0.0)):
-            raise ParameterError(
-                f"{self.family.value}(a={self.a}) violates U'>0, U''<0, U'''>=0"
-            )
 
     def __str__(self) -> str:
         return self.identifier
@@ -191,7 +183,8 @@ def _pointwise(spec: UtilitySpec, z, formula):
     if lo > -math.inf and np.any(arr <= lo):
         offender = float(arr[arr <= lo].min())
         raise DomainError(f"{spec.identifier} is undefined at z={offender} (domain z > {lo})")
-    out = formula(spec.a, arr)
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf or 0
+        out = formula(spec.a, arr)
     if arr.ndim:
         return out
     return tuple(float(u) for u in out) if isinstance(out, tuple) else float(out)
@@ -223,10 +216,7 @@ def taylor2(spec: UtilitySpec, center: float) -> QuadraticApprox:
 def approx_table(spec: UtilitySpec, grid) -> list[tuple[float, float, float]]:
     """Rows (z, U(z), Q(z)) with Q expanded around 0."""
     q = taylor2(spec, 0.0)
-    rows = []
-    for z in grid:
-        rows.append((float(z), utility_value(spec, float(z)), q(float(z))))
-    return rows
+    return [(float(z), utility_value(spec, float(z)), q(float(z))) for z in grid]
 
 
 def expected_quadratic(spec: UtilitySpec, mean: float, var: float, mode: Expansion) -> float:

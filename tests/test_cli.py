@@ -232,6 +232,42 @@ class TestApproxTable:
         assert main(["approx-table", *argv]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: --param: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("utility, param", [("neg_exp", "373"), ("log", "1e14")])
+    def test_param_in_range_is_valid(self, capsys, utility, param):
+        # valid because a lies in the family's range, however close to 0
+        # U' and U'' come (neg_exp:373's U' rounds to 0 above z = 1)
+        assert main(["approx-table", "--utility", utility, "--param", param]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        body = [line for line in captured.out.splitlines() if not line.startswith("#")]
+        assert len(body) == 1 + 17  # the header and the classic grid's rows
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_approximation_domain_error(self, capsys):
+        # U'(0) = a*exp(-a) rounds to 0 at a = 1e103, which QuadraticApprox
+        # rejects; a**3 overflows to inf there, with no warning and no exception
+        assert main(["approx-table", "--utility", "neg_exp", "--param", "1e103"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "domain error: quadratic approximation must be increasing and concave "
+            "at its center; got c1=0.0, c2=0.0\n"
+        )
+
+    @pytest.mark.parametrize("utility", ["power", "log", "neg_exp", "neg_power"])
+    def test_every_param_in_range_exits_cleanly(self, capsys, utility):
+        # from 1e-300 to 1e308 every in-range a builds a table or fails with
+        # an mvlab error: an escaped exception would fail this test
+        params = np.logspace(-300, 308, 153)
+        if utility == "power":
+            params = params[params < 1.0]
+        for param in params:
+            code = main(["approx-table", "--utility", utility, "--param", repr(float(param))])
+            assert code in (EXIT_OK, EXIT_DOMAIN), param
+            err = capsys.readouterr().err
+            assert code == EXIT_OK or err.startswith("domain error: "), (param, err)
+
     def test_param_without_utility_usage_error(self, capsys):
         assert main(["approx-table", "--param", "0.5"]) == EXIT_USAGE
         assert "--param needs --utility" in capsys.readouterr().err
@@ -355,6 +391,59 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("usage error: [normal_small]")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # the target skewness 3 * 0.5 is past the skew-normal's cap
+            (dict(family="skew_normal", skew_ratio="3", base_skew="0.5"),
+             "skew-normal skewness magnitude must be < 0.99527, got 1.5"),
+            # feasible at the interval's lower end, not at its upper one
+            (dict(family="skew_normal", skew_ratio="1.5..3", base_skew="0.5"),
+             "skew-normal skewness magnitude must be < 0.99527, got 1.5"),
+            (dict(family="gev", skew_ratio="1.1", base_skew="-0.16"),
+             "gev target skewness -0.17600000000000002 outside solvable range "
+             "(-0.168103, 428903906.822987) for shape in (-1/3, 1/3)"),
+            (dict(mean_ratio="1..1e308", base_mean="2"), "target mean must be finite, got inf"),
+        ],
+        ids=["skew_normal", "skew_normal_upper_end", "gev", "mean_overflow"],
+    )
+    def test_infeasible_cell_fails_at_load(self, tmp_path, capsys, overrides, message):
+        config = _small_config(tmp_path, n_pairs=200)
+        bad = dict(family="normal", mean_ratio="1.05", std_ratio="1.05", base_mean="0.01",
+                   base_std="0.008", n_obs="2000", n_pairs="3", seed="99")
+        bad.update(overrides)
+        bad_lines = "".join(f"{key} = {value}\n" for key, value in bad.items())
+        config.write_text(config.read_text() + "[bad]\n" + bad_lines)
+        assert main(["simulate", str(config)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the 200-pair normal cell never ran
+        assert captured.err == f"usage error: [bad] {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, n_obs, n_pairs",
+        [([], 20_000, 200), (["--paper-scale"], 100_000, 1_000)],
+        ids=["desk", "paper"],
+    )
+    def test_default_grid_without_config(self, monkeypatch, flags, n_obs, n_pairs):
+        from mvlab.simulation import default_scenarios
+
+        class Stop(Exception):
+            pass
+
+        runs = []
+
+        def recording_pair_results(specs, panel, workers):
+            runs.append(specs)
+            raise Stop  # before any pair runs
+
+        monkeypatch.setattr(mvlab.cli, "pair_results", recording_pair_results)
+        with pytest.raises(Stop):
+            main(["simulate", "--seed", "7", *flags])
+        (specs,) = runs
+        assert len(specs) == 15
+        assert {(s.master_seed, s.n_obs, s.n_pairs) for s in specs} == {(7, n_obs, n_pairs)}
+        assert specs == default_scenarios(master_seed=7, paper_scale=bool(flags))
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_usage_error(self, tmp_path, capsys, workers):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mvlab.cli import CLASSIC_UTILITIES
 from mvlab.distributions import (
@@ -124,6 +124,39 @@ class TestValuesAndDerivatives:
         d1 = np.diff(u)
         assert np.all(d1 > 0)  # strictly increasing
         assert np.all(np.diff(d1) < 0)  # strictly concave
+
+
+@st.composite
+def _in_range_utilities(draw):
+    """(spec, z): a log-uniform over the family's whole range, from 1e-300
+    to 1e308 or a_max, and z anywhere inside the domain up to 1e300."""
+    family = draw(st.sampled_from(list(UtilityFamily)))
+    a_max = _FAMILIES[family].a_max
+    a = 10.0 ** draw(st.floats(-300.0, min(math.log10(a_max), 308.0)))
+    assume(a < a_max)
+    spec = UtilitySpec(family, a)
+    z = draw(st.floats(max(spec.domain_min, -1e300), 1e300, exclude_min=True))
+    return spec, z
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(_in_range_utilities())
+# a**3 overflows; a*a overflows where exp underflows; a**3 underflows where
+# exp overflows; a*(a+1) overflows where (1+z)**(-a-2) underflows
+@example((UtilitySpec(UtilityFamily.NEG_EXP, 1e103), 0.0))
+@example((UtilitySpec(UtilityFamily.NEG_EXP, 1e200), 0.0))
+@example((UtilitySpec(UtilityFamily.NEG_EXP, 1e-108), -7.09782712893384e110))
+@example((UtilitySpec(UtilityFamily.NEG_POWER, 1e200), 1.0))
+def test_shape_signs_over_the_whole_parameter_range(case):
+    # U' >= 0, U'' <= 0 and U''' >= 0 for every a in the family's range and
+    # every z in its domain, which is why building a utility runs no shape
+    # test.  Past the float range a derivative rounds to 0 or to inf, never
+    # to NaN or to the wrong sign; a normal float is nonzero, so wherever
+    # the values are normal floats these signs are strict.
+    spec, z = case
+    u1, u2, u3 = utility_derivatives(spec, z)
+    assert u1 >= 0.0 and u2 <= 0.0 and u3 >= 0.0, (u1, u2, u3)
 
 
 class TestARA:
