@@ -39,6 +39,7 @@ from .errors import (
 from .simulation import (
     default_scenarios,
     format_interval,
+    keep_freed_memory,
     load_scenario_config,
     pair_results,
     run_scenario,
@@ -417,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    keep_freed_memory()  # forked pool workers inherit it
     try:
         return args.func(args)
     except UsageError as exc:

@@ -193,20 +193,34 @@ def sample_with_rng(params: FamilyParams, n: int, rng: np.random.Generator) -> n
 
 
 def _sample_skew_normal(p: SkewNormalParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Azzalini representation: Z = delta*|U0| + sqrt(1-delta^2)*U1.
+    # Azzalini representation: Z = delta*|U0| + sqrt(1-delta^2)*U1, built
+    # in U0's array in the order of xi + omega*Z.
     delta = p.shape / math.sqrt(1.0 + p.shape * p.shape)
     u0 = rng.standard_normal(n)
     u1 = rng.standard_normal(n)
-    z = delta * np.abs(u0) + math.sqrt(1.0 - delta * delta) * u1
-    return p.xi + p.omega * z
+    z = np.abs(u0, out=u0)
+    z *= delta
+    u1 *= math.sqrt(1.0 - delta * delta)
+    z += u1
+    z *= p.omega
+    z += p.xi
+    return z
 
 
 def _sample_gev(p: GEVParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Inverse-CDF through a standard exponential: X = mu + sigma*(T^-k - 1)/k.
+    # Inverse-CDF through a standard exponential: X = mu + sigma*(T^-k - 1)/k,
+    # worked in T's array in the order the formula reads.
     t = rng.standard_exponential(n)
+    np.log(t, out=t)
     if p.shape == 0.0:
-        return p.location - p.scale * np.log(t)
-    return p.location + p.scale * np.expm1(-p.shape * np.log(t)) / p.shape
+        t *= p.scale
+        return np.subtract(p.location, t, out=t)
+    t *= -p.shape
+    np.expm1(t, out=t)
+    t *= p.scale
+    t /= p.shape
+    t += p.location
+    return t
 
 
 def _sample_stable(p: StableParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,12 +233,22 @@ def _sample_stable(p: StableParams, n: int, rng: np.random.Generator) -> np.ndar
     tan_half = math.tan(math.pi * alpha / 2.0)
     theta0 = math.atan(beta * tan_half) / alpha
     s = (1.0 + beta * beta * tan_half * tan_half) ** (1.0 / (2.0 * alpha))
-    core = (
-        np.sin(alpha * (v + theta0))
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos(v - alpha * (v + theta0)) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return p.location + p.scale * s * core
+    # core = sin(a) / cos(v)^(1/alpha) * (cos(v - a) / w)^((1-alpha)/alpha)
+    # with a = alpha*(v + theta0) taken once, worked in place in that order.
+    a = v + theta0
+    a *= alpha
+    core = np.sin(a)
+    np.subtract(v, a, out=a)
+    np.cos(a, out=a)
+    a /= w
+    a **= (1.0 - alpha) / alpha
+    np.cos(v, out=v)
+    v **= 1.0 / alpha
+    core /= v
+    core *= a
+    core *= p.scale * s
+    core += p.location
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +274,8 @@ def central_moments(values: np.ndarray, weights: np.ndarray | None = None):
     mean = average(values)
     centered = values - mean
     squared = centered * centered
-    return mean, average(squared), average(squared * centered)
+    cubed = np.multiply(squared, centered, out=centered)
+    return mean, average(squared), average(cubed)
 
 
 def moments(sample_values: np.ndarray) -> MomentSummary:

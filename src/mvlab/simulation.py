@@ -408,7 +408,7 @@ def pair_results(
             # GEV solves need mpmath; loaded once here, every forked worker
             # starts with it instead of importing it on its first solve.
             import mpmath  # noqa: F401
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory)
     try:
         # One pair per task: pairs of different cells differ up to tenfold
         # in cost, so multi-pair chunks leave a worker idle at the end.
@@ -425,8 +425,8 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_freed_memory() -> None:
-    """Pool-worker initializer: keep freed sample arrays in the heap.
+def keep_freed_memory() -> None:
+    """Keep freed sample arrays in this process's heap.
 
     By default glibc serves each sample-sized temporary (800 kB at
     100,000 draws) with its own mmap, or trims the heap top when it is
@@ -435,8 +435,10 @@ def _keep_freed_memory() -> None:
     Raising the mmap threshold to its 64-bit maximum and the trim
     threshold above it lets the next pair reuse the same pages.  Both are
     needed: a trim threshold alone switches off glibc's dynamic mmap
-    threshold.  Only pool workers call this, never the caller's process.
-    A no-op where the C library has no ``mallopt`` (musl, macOS).
+    threshold.  The ``mvlab`` command calls this once per command, and
+    pool workers call it as their initializer; a library run in the
+    caller's process leaves the allocator alone.  A no-op where the C
+    library has no ``mallopt`` (musl, macOS).
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:

@@ -138,7 +138,7 @@ class UtilitySpec:
                 f"{fam.value} parameter must lie in (0, {a_max:g}), got {self.a}"
             )
 
-    @property
+    @cached_property
     def domain_min(self) -> float:
         """Open lower domain edge; -inf when the domain is all reals."""
         return _FAMILIES[self.family].domain_min(self.a)
@@ -163,6 +163,11 @@ class QuadraticApprox:
     c2: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.c0, self.c1, self.c2)):
+            raise ParameterError(
+                f"quadratic approximation coefficients must be finite; "
+                f"got c0={self.c0}, c1={self.c1}, c2={self.c2}"
+            )
         if not (self.c1 > 0.0 and self.c2 < 0.0):
             raise ParameterError(
                 f"quadratic approximation must be increasing and concave at its "

@@ -77,6 +77,25 @@ def _strip_timestamp(text: str) -> str:
     )
 
 
+def test_main_keeps_freed_memory_once_per_call(monkeypatch, capsys):
+    # a recorder stands in for the allocator setting, which would act on
+    # this process; it runs before the command, whatever the command returns
+    calls = []
+    approx_table = mvlab.cli.approx_table
+
+    def recording_approx_table(spec, grid):
+        calls.append("command")
+        return approx_table(spec, grid)
+
+    monkeypatch.setattr(mvlab.cli, "keep_freed_memory", lambda: calls.append("keep"))
+    monkeypatch.setattr(mvlab.cli, "approx_table", recording_approx_table)
+    assert main(["approx-table", "--grid", "0:0:1"]) == EXIT_OK
+    assert calls == ["keep", "command", "command", "command"]
+    calls.clear()
+    assert main(["approx-table", "--utility", "log"]) == EXIT_USAGE
+    assert calls == ["keep"]
+
+
 class TestCompare:
     def test_fsd_direction(self, lottery_files, capsys):
         z1, z2 = lottery_files
@@ -255,6 +274,19 @@ class TestApproxTable:
             "at its center; got c1=0.0, c2=0.0\n"
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_approximation_domain_error(self, capsys):
+        # U''(0) = -a*(a+1) overflows to -inf above a = 1.34e154, which
+        # QuadraticApprox rejects before Q(0) = c0 + c1*0 + (-inf)*0*0 is NaN
+        assert main(["approx-table", "--utility", "neg_power", "--param", "1e200"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "domain error: quadratic approximation coefficients must be finite; "
+            "got c0=-1.0, c1=1e+200, c2=-inf\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("utility", ["power", "log", "neg_exp", "neg_power"])
     def test_every_param_in_range_exits_cleanly(self, capsys, utility):
         # from 1e-300 to 1e308 every in-range a builds a table or fails with

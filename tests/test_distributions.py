@@ -30,6 +30,12 @@ from mvlab.distributions import (
     sample,
     solve_params_for_moments,
 )
+from mvlab.rng import spawn_rng
+from mvlab.simulation import (
+    STABLE_SKEW_1_WINDOW,
+    STABLE_SKEW_2_WINDOW,
+    STABLE_STABILITY_WINDOW,
+)
 from mvlab.dominance import DiscreteLottery, ecdf
 from mvlab.errors import (
     InfeasibleTargetError,
@@ -101,6 +107,76 @@ class TestSampling:
     def test_stable_location_is_mean(self):
         x = sample(StableParams(1.8, 0.8, 0.02, 0.01), 10**6, seed=4)
         assert abs(moments(x).mean - 0.01) < 0.002
+
+
+def _skew_normal_before(p, n, rng):
+    # verbatim copy of _sample_skew_normal before it worked in place
+    delta = p.shape / math.sqrt(1.0 + p.shape * p.shape)
+    u0 = rng.standard_normal(n)
+    u1 = rng.standard_normal(n)
+    z = delta * np.abs(u0) + math.sqrt(1.0 - delta * delta) * u1
+    return p.xi + p.omega * z
+
+
+def _gev_before(p, n, rng):
+    # verbatim copy of _sample_gev before it worked in place
+    t = rng.standard_exponential(n)
+    if p.shape == 0.0:
+        return p.location - p.scale * np.log(t)
+    return p.location + p.scale * np.expm1(-p.shape * np.log(t)) / p.shape
+
+
+def _stable_before(p, n, rng):
+    # verbatim copy of _sample_stable before it worked in place
+    alpha = p.stability
+    beta = p.skew
+    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    w = rng.standard_exponential(n)
+    tan_half = math.tan(math.pi * alpha / 2.0)
+    theta0 = math.atan(beta * tan_half) / alpha
+    s = (1.0 + beta * beta * tan_half * tan_half) ** (1.0 / (2.0 * alpha))
+    core = (
+        np.sin(alpha * (v + theta0))
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos(v - alpha * (v + theta0)) / w) ** ((1.0 - alpha) / alpha)
+    )
+    return p.location + p.scale * s * core
+
+
+def _stable_window_params():
+    """Both ends of the stability window with each skew window's ends,
+    plus three draws from the windows as ``_attempt_stable`` makes them,
+    and the Gaussian limit (stability 2, a square-root exponent)."""
+    params = [
+        StableParams(stability, skew, 0.03, 0.01)
+        for stability in STABLE_STABILITY_WINDOW
+        for skew in STABLE_SKEW_1_WINDOW + STABLE_SKEW_2_WINDOW
+    ]
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        stability = float(rng.uniform(*STABLE_STABILITY_WINDOW))
+        for window in (STABLE_SKEW_1_WINDOW, STABLE_SKEW_2_WINDOW):
+            params.append(StableParams(stability, float(rng.uniform(*window)), 1.0, 0.0))
+    return params + [StableParams(2.0, 0.7, 0.05, 0.01)]
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 20_000, 100_000])
+@pytest.mark.parametrize(
+    "params, before",
+    [
+        (SkewNormalParams(0.01, 0.03, 4.0), _skew_normal_before),
+        (SkewNormalParams(-2.5, 1.7, -0.3), _skew_normal_before),
+        (GEVParams(0.01, 0.02, 0.0), _gev_before),
+        (GEVParams(0.01, 0.02, 0.2), _gev_before),
+        (GEVParams(-1.0, 3.0, -0.25), _gev_before),
+    ]
+    + [(p, _stable_before) for p in _stable_window_params()],
+)
+def test_samplers_bit_identical_to_former_expressions(params, before, n):
+    for seed in (1, 9001, 123_456_789):
+        got = sample(params, n, seed)
+        want = before(params, n, spawn_rng(seed))
+        assert got.tobytes() == want.tobytes(), seed
 
 
 class TestMoments:

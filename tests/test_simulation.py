@@ -342,11 +342,11 @@ class TestAttemptLoop:
     def test_pool_workers_start_with_the_allocator_setting(self, monkeypatch):
         _recording_pool(monkeypatch, cpu_count=2)
         list(run_scenarios([_spec(n_pairs=2)], [LOG1], workers=2))
-        assert simulation.ProcessPoolExecutor.initializers == [simulation._keep_freed_memory]
+        assert simulation.ProcessPoolExecutor.initializers == [simulation.keep_freed_memory]
 
     def test_serial_run_leaves_the_allocator_alone(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(simulation, "_keep_freed_memory", lambda: calls.append(1))
+        monkeypatch.setattr(simulation, "keep_freed_memory", lambda: calls.append(1))
         list(run_scenarios([_spec(n_pairs=2)], [LOG1], workers=1))
         assert calls == []
 
@@ -415,13 +415,13 @@ class TestKeepFreedMemory:
 
         libc = types.SimpleNamespace(mallopt=mallopt)
         monkeypatch.setattr(simulation.ctypes, "CDLL", lambda name: libc)
-        simulation._keep_freed_memory()
+        simulation.keep_freed_memory()
         assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
 
     def test_no_op_without_mallopt(self, monkeypatch):
         # musl and macOS: the C library has no mallopt
         monkeypatch.setattr(simulation.ctypes, "CDLL", lambda name: types.SimpleNamespace())
-        assert simulation._keep_freed_memory() is None
+        assert simulation.keep_freed_memory() is None
 
 
 def _attempt_stable_two_draws(spec, pair_index, attempt):
