@@ -13,7 +13,6 @@ from .distributions import (
     NormalParams,
     SkewNormalParams,
     StableParams,
-    gls_coefficients,
     moments,
     population_moments,
     sample,
@@ -54,7 +53,6 @@ from .errors import (
 )
 from .rng import spawn_rng
 from .simulation import (
-    PairOutcome,
     ScenarioReport,
     ScenarioSpec,
     correlation_study,
@@ -75,7 +73,6 @@ from .utilities import (
     approx_table,
     ara,
     clamped_panel,
-    clamped_utility,
     expected_quadratic,
     expected_utility,
     over_clamp_budget,

@@ -37,6 +37,7 @@ from .errors import (
     UsageError,
 )
 from .simulation import (
+    DEFAULT_MASTER_SEED,
     default_scenarios,
     format_interval,
     keep_freed_memory,
@@ -243,9 +244,16 @@ def cmd_approx_table(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # A config's cells carry their own seeds, which --seed overrides; the
+    # default grid runs, emits and records --seed or DEFAULT_MASTER_SEED.
+    seed = args.seed
+    if seed is None and not args.config:
+        seed = DEFAULT_MASTER_SEED
     if args.emit_default_config:
+        if args.config:
+            raise UsageError("--emit-default-config writes the default grid; it takes no config")
         _check_output(args.emit_default_config)
-        text = scenario_config_text(default_scenarios(paper_scale=args.paper_scale))
+        text = scenario_config_text(default_scenarios(seed, paper_scale=args.paper_scale))
         with open(args.emit_default_config, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote default scenario config to {args.emit_default_config}")
@@ -255,13 +263,10 @@ def cmd_simulate(args) -> int:
     _check_output(args.out)
     if args.config:
         scenarios = load_scenario_config(
-            args.config, seed_override=args.seed, paper_scale=args.paper_scale
+            args.config, seed_override=seed, paper_scale=args.paper_scale
         )
     else:
-        kwargs = {"paper_scale": args.paper_scale}
-        if args.seed is not None:
-            kwargs["master_seed"] = args.seed
-        scenarios = default_scenarios(**kwargs)
+        scenarios = default_scenarios(seed, paper_scale=args.paper_scale)
     panel = table6_panel()
     header = [
         "scenario_id",
@@ -307,7 +312,7 @@ def cmd_simulate(args) -> int:
             )
             for note in report.diagnostics:
                 print(f"  diagnostic: {note}")
-    manifest = _manifest_lines("simulate", args.config, args.out, args.seed)
+    manifest = _manifest_lines("simulate", args.config, args.out, seed)
     _write_report(args.out, manifest, header, rows, args.format)
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -128,22 +128,21 @@ class MomentSummary:
     mean: float
     std: float
     skewness: float
-    n: int
 
     @classmethod
-    def from_central(cls, mean, var, m3, n) -> "MomentSummary":
-        """Summary of ``n`` points from their mean and second and third
-        central moments; a zero-std distribution reports skewness 0 by
-        convention.  When ``std**3`` leaves the float range, ``m3`` is
-        divided by one factor at a time."""
+    def from_central(cls, mean, var, m3) -> "MomentSummary":
+        """Summary from a mean and the second and third central moments;
+        a zero-std distribution reports skewness 0 by convention.  When
+        ``std**3`` leaves the float range, ``m3`` is divided by one factor
+        at a time."""
         std = math.sqrt(var)
         if std == 0.0:
-            return cls(mean=mean, std=0.0, skewness=0.0, n=n)
+            return cls(mean=mean, std=0.0, skewness=0.0)
         try:
             skewness = m3 / std**3
         except (ZeroDivisionError, OverflowError):
             skewness = m3 / var / std
-        return cls(mean=mean, std=std, skewness=skewness, n=n)
+        return cls(mean=mean, std=std, skewness=skewness)
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def moments(sample_values: np.ndarray) -> MomentSummary:
         x = x.ravel()
     if x.size == 0:
         raise ParameterError("moments() requires a non-empty sample")
-    return MomentSummary.from_central(*central_moments(x), n=x.size)
+    return MomentSummary.from_central(*central_moments(x))
 
 
 @lru_cache(maxsize=256)
@@ -450,34 +449,3 @@ def solve_params_for_moments(family: Family, target: MomentTarget) -> FamilyPara
         return _solve_gev(target)
     raise UnsupportedFamilyError("stable population moments are undefined; use the "
                                  "simulation module's sample-moment rejection path")
-
-
-# ---------------------------------------------------------------------------
-# Generalized location-scale coefficients
-# ---------------------------------------------------------------------------
-
-
-def gls_coefficients(
-    mean_x: float, var_x: float, r: float, mean_y: float
-) -> tuple[float, float]:
-    """Recover (beta, |gamma|) of X = r + beta*Y + gamma*Z from moments.
-
-    beta = (E[X]-r)/E[Y] and |gamma| = sqrt(Var(X) - beta^2), requiring
-    E[Y] != 0 and a non-negative radicand.  A radicand that is negative
-    by at most four ulps of max(Var(X), beta^2) is rounding, not
-    infeasibility (``x**2`` and ``x*x`` may round apart), and gives 0.
-    """
-    if mean_y == 0.0:
-        raise ParameterError("gls coefficients require E[Y] != 0")
-    if var_x < 0.0:
-        raise ParameterError(f"variance must be >= 0, got {var_x}")
-    beta = (mean_x - r) / mean_y
-    beta_sq = beta * beta
-    radicand = var_x - beta_sq
-    if radicand < 0.0:
-        if -radicand > 4.0 * math.ulp(max(var_x, beta_sq)):
-            raise InfeasibleTargetError(
-                f"no gls representation: var_x {var_x} < beta^2 {beta_sq}"
-            )
-        radicand = 0.0
-    return beta, math.sqrt(radicand)

@@ -86,7 +86,7 @@ class _MassMoments:
         return float(self._mass_points[0][-1])
 
     def moment_summary(self) -> MomentSummary:
-        return MomentSummary.from_central(*self._central, n=self._mass_points[0].size)
+        return MomentSummary.from_central(*self._central)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .distributions import (
     Family,
-    MomentSummary,
     MomentTarget,
     StableParams,
     moments,
@@ -147,14 +146,6 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class PairOutcome:
-    pair_index: int
-    sample_moments_1: MomentSummary
-    sample_moments_2: MomentSummary
-    per_utility_agreement: dict[str, bool]
-
-
-@dataclass(frozen=True)
 class ScenarioReport:
     spec: ScenarioSpec
     success_pct: dict[str, float]
@@ -267,10 +258,10 @@ def _accepted_pair(spec: ScenarioSpec, utilities, pair_index: int):
         if candidate is None:
             continue
         try:
-            outcome = evaluate_pair(candidate, utilities, pair_index)
+            agreement = evaluate_pair(candidate, utilities, pair_index)
         except (ParameterError, DomainError):
             continue
-        return *candidate, outcome.per_utility_agreement, attempt
+        return *candidate, agreement, attempt
     raise GenerationError(
         f"scenario {spec.scenario_id!r}: pair {pair_index} exceeded the "
         f"{cap}-attempt generation cap"
@@ -298,8 +289,9 @@ def evaluate_pair(
     pair: tuple[np.ndarray, np.ndarray],
     utilities: list[UtilitySpec],
     pair_index: int = 0,
-) -> PairOutcome:
-    """Per-utility agreement flags for one MV pair.
+) -> dict[str, bool]:
+    """Per-utility agreement flags for one MV pair, keyed by utility
+    identifier in ``utilities`` order.
 
     Agreement is the weak inequality E[U(Z1)] >= E[U(Z2)] (ties agree).
     Raises ParameterError when the pair violates the MV ordering and
@@ -314,15 +306,10 @@ def evaluate_pair(
         )
     eu1 = panel_expected_utility(z1, utilities)
     eu2 = panel_expected_utility(z2, utilities)
-    return PairOutcome(
-        pair_index=pair_index,
-        sample_moments_1=m1,
-        sample_moments_2=m2,
-        per_utility_agreement={
-            utility.identifier: bool(u1 >= u2)
-            for utility, (u1, _), (u2, _) in zip(utilities, eu1, eu2)
-        },
-    )
+    return {
+        utility.identifier: bool(u1 >= u2)
+        for utility, (u1, _), (u2, _) in zip(utilities, eu1, eu2)
+    }
 
 
 def run_scenario(

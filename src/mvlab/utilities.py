@@ -20,7 +20,6 @@ import enum
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 
 import numpy as np
@@ -197,8 +196,14 @@ def _pointwise(spec: UtilitySpec, z, formula):
 
 def utility_value(spec: UtilitySpec, z):
     """U(z); raises DomainError outside the family's domain, so
-    :func:`clamped_utility` moves no draw here."""
-    return _pointwise(spec, z, lambda a, arr: clamped_utility(spec, arr)[0])
+    :func:`clamped_panel` moves no draw here."""
+
+    def signed(a, arr):
+        ((_, sign, values, _),) = clamped_panel(arr, (spec,))
+        values *= sign
+        return values
+
+    return _pointwise(spec, z, signed)
 
 
 def utility_derivatives(spec: UtilitySpec, z):
@@ -270,15 +275,6 @@ def clamped_panel(x: np.ndarray, panel: Iterable[UtilitySpec]):
             out = np.empty_like(t, dtype=float)
         family.finish(spec.a, t, out)
         yield spec, family.sign, out, moved
-
-
-def clamped_utility(spec: UtilitySpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """U elementwise on an array of draws, under the clamping policy:
-    (U values, boolean mask of the moved draws or None), the one-utility
-    case of :func:`clamped_panel`."""
-    ((_, sign, values, moved),) = clamped_panel(x, (spec,))
-    values *= sign
-    return values, moved
 
 
 def _clamp(x: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -365,17 +361,3 @@ def table6_panel() -> list[UtilitySpec]:
         for a in (0.01, 0.3, 0.5, 1, 3, 5, 8, 10, 15, 20)
     ]
     return panel
-
-
-def round_half_away_from_zero(x: float, ndigits: int = 2) -> float:
-    """Decimal rounding with ties away from zero (printed-table convention).
-
-    The value is first quantized to 10 decimals so that binary noise in
-    an exact-decimal tie (e.g. 0.655 evaluating to 0.6549999999999999)
-    does not flip the tie direction.
-    """
-    cleaned = Decimal(repr(float(x))).quantize(
-        Decimal(1).scaleb(-10), rounding=ROUND_HALF_UP
-    )
-    exp = Decimal(1).scaleb(-ndigits)
-    return float(cleaned.quantize(exp, rounding=ROUND_HALF_UP))

@@ -1,7 +1,10 @@
-"""Shared fixtures: the worked-example lotteries and the seeded
-random-lottery-pair corpus used by the dominance property suite."""
+"""Shared fixtures: the worked-example lotteries, the seeded
+random-lottery-pair corpus used by the dominance property suite, and the
+printed tables' rounding rule."""
 
 from __future__ import annotations
+
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +13,20 @@ from mvlab.dominance import DiscreteLottery
 from mvlab.rng import spawn_rng
 
 CORPUS_SEED = 424242
+
+
+def round_half_away_from_zero(x: float, ndigits: int = 2) -> float:
+    """Decimal rounding with ties away from zero (printed-table convention).
+
+    The value is first quantized to 10 decimals so that binary noise in
+    an exact-decimal tie (e.g. 0.655 evaluating to 0.6549999999999999)
+    does not flip the tie direction.
+    """
+    cleaned = Decimal(repr(float(x))).quantize(
+        Decimal(1).scaleb(-10), rounding=ROUND_HALF_UP
+    )
+    exp = Decimal(1).scaleb(-ndigits)
+    return float(cleaned.quantize(exp, rounding=ROUND_HALF_UP))
 
 
 def _random_lottery(rng: np.random.Generator) -> DiscreteLottery:

@@ -44,12 +44,13 @@ from mvlab.utilities import (
     approx_table,
     expected_quadratic,
     expected_utility,
-    round_half_away_from_zero,
     table6_panel,
     taylor2,
     utility_derivatives,
     utility_value,
 )
+
+from conftest import round_half_away_from_zero
 
 LOG1 = UtilitySpec(UtilityFamily.LOG, 1.0)
 SQRT = UtilitySpec(UtilityFamily.POWER, 0.5)

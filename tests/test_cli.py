@@ -23,8 +23,15 @@ from mvlab.distributions import Family, MomentTarget
 from mvlab.dominance import DiscreteLottery, mvc_test
 from mvlab.empirical import _returns_block
 from mvlab.rng import spawn_rng
-from mvlab.simulation import ScenarioSpec, scenario_config_text
-from mvlab.utilities import round_half_away_from_zero
+from mvlab.simulation import (
+    DEFAULT_MASTER_SEED,
+    ScenarioSpec,
+    default_scenarios,
+    load_scenario_config,
+    scenario_config_text,
+)
+
+from conftest import round_half_away_from_zero
 
 
 @pytest.fixture
@@ -378,9 +385,34 @@ class TestSimulate:
         assert main(["simulate", "--emit-default-config", str(config_path)]) == EXIT_OK
         assert "[normal_1.05]" in config_path.read_text()
 
-    def test_emit_paper_scale_config(self, tmp_path):
-        from mvlab.simulation import load_scenario_config
+    def test_emit_default_config_writes_the_seed(self, tmp_path):
+        config_path = tmp_path / "default.ini"
+        assert main(["simulate", "--seed", "7",
+                     "--emit-default-config", str(config_path)]) == EXIT_OK
+        scenarios = load_scenario_config(config_path)
+        assert len(scenarios) == len(default_scenarios())
+        assert all(s.master_seed == 7 for s in scenarios)
 
+    def test_emit_default_config_with_a_config_usage_error(self, tmp_path, capsys):
+        config = _small_config(tmp_path)
+        config_path = tmp_path / "default.ini"
+        argv = ["simulate", str(config), "--emit-default-config", str(config_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "takes no config" in capsys.readouterr().err
+        assert not config_path.exists()
+
+    @pytest.mark.parametrize("argv, seed", [([], DEFAULT_MASTER_SEED), (["--seed", "7"], 7)])
+    def test_default_grid_seed_recorded(self, tmp_path, monkeypatch, argv, seed):
+        # a one-cell grid at the seed it is given stands in for the default one
+        def one_cell_grid(master_seed, paper_scale):
+            return load_scenario_config(_small_config(tmp_path, seed=master_seed))
+
+        monkeypatch.setattr(mvlab.cli, "default_scenarios", one_cell_grid)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--out", str(out), *argv]) == EXIT_OK
+        assert f"# seed: {seed}\n" in out.read_text()
+
+    def test_emit_paper_scale_config(self, tmp_path):
         config_path = tmp_path / "paper.ini"
         assert main(["simulate", "--paper-scale",
                      "--emit-default-config", str(config_path)]) == EXIT_OK
@@ -458,8 +490,6 @@ class TestSimulate:
         ids=["desk", "paper"],
     )
     def test_default_grid_without_config(self, monkeypatch, flags, n_obs, n_pairs):
-        from mvlab.simulation import default_scenarios
-
         class Stop(Exception):
             pass
 
@@ -568,8 +598,6 @@ class TestSimulate:
         assert progress[3:] == [f"wrote {3 * len(serial[0].success_pct)} rows to {out}"]
 
     def test_worker_invariance_with_regenerations(self, tmp_path, capsys):
-        from mvlab.simulation import default_scenarios
-
         picked = ("normal_1.05", "gev_1.01_s3", "stable_tight")
         small = [
             dataclasses.replace(s, n_obs=2000, n_pairs=8)

@@ -3,7 +3,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize as scipy_optimize, stats as scipy_stats
 
@@ -24,7 +24,6 @@ from mvlab.distributions import (
     _solve_gev_shape,
     central_moments,
     gev_skewness,
-    gls_coefficients,
     moments,
     population_moments,
     sample,
@@ -258,7 +257,6 @@ class TestMomentsReference:
         x = _reference_samples()[name]
         lottery = DiscreteLottery(x, np.full(x.size, 1.0 / x.size))
         got, want = lottery.moment_summary(), moments(x)
-        assert got.n == want.n
         for field in ("mean", "std", "skewness"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
         assert lottery.variance() == pytest.approx(want.std**2, rel=1e-12)
@@ -368,43 +366,6 @@ class TestSolver:
                 assert abs(m.skewness - skew) < 0.05
 
 
-class TestGLS:
-    def test_centered_case(self):
-        beta, gamma = gls_coefficients(0.02, 1.0, 0.02, 1.0)
-        assert (beta, gamma) == (0.0, 1.0)
-
-    def test_unit_case(self):
-        beta, gamma = gls_coefficients(1.0, 2.0, 0.0, 1.0)
-        assert beta == pytest.approx(1.0)
-        assert gamma == pytest.approx(1.0)
-
-    def test_zero_mean_y_rejected(self):
-        with pytest.raises(ParameterError):
-            gls_coefficients(1.0, 1.0, 0.0, 0.0)
-
-    def test_negative_radicand_rejected(self):
-        with pytest.raises(InfeasibleTargetError):
-            gls_coefficients(2.0, 0.5, 0.0, 1.0)
-
-    @given(
-        mean_x=st.floats(-10, 10),
-        r=st.floats(-1, 1),
-        mean_y=st.floats(0.1, 5),
-        slack=st.floats(0, 10),
-    )
-    # beta**2 (this test's var_x) and beta*beta round one ulp apart here;
-    # the feasible input must give gamma = 0, not InfeasibleTargetError.
-    @example(mean_x=0.0, r=1.175494351e-38, mean_y=0.1, slack=0.0)
-    @settings(max_examples=200)
-    def test_algebraic_identities(self, mean_x, r, mean_y, slack):
-        beta_true = (mean_x - r) / mean_y
-        var_x = beta_true**2 + slack
-        beta, gamma = gls_coefficients(mean_x, var_x, r, mean_y)
-        ulp = 4 * np.spacing(max(abs(var_x), 1.0))
-        assert abs(beta**2 + gamma**2 - var_x) <= ulp
-        assert abs(beta * mean_y + r - mean_x) <= 4 * np.spacing(max(abs(mean_x), 1.0))
-
-
 _SummaryBefore = namedtuple("_SummaryBefore", "mean std skewness kurtosis n")
 
 
@@ -443,7 +404,7 @@ def _moments_before(sample_values):
 
 
 def _summary_bits(summary):
-    return [float(getattr(summary, f)).hex() for f in ("mean", "std", "skewness")] + [summary.n]
+    return [float(getattr(summary, f)).hex() for f in ("mean", "std", "skewness")]
 
 
 @pytest.mark.parametrize("layout", ["random", "constant", "strided", "2-D"])
@@ -458,14 +419,13 @@ def test_moments_bit_identical_to_former_body(name, layout):
         x = x.reshape(50, 100)
     got, want = moments(x), _moments_before(x)
     assert _summary_bits(got) == _summary_bits(want)
-    assert type(got.n) is type(want.n)
 
 
 def test_from_central_divides_factorwise_outside_the_float_range():
     # std**3 underflows to 0 at var = 1e-300 and var**2 overflows at 1e200
-    tiny = MomentSummary.from_central(0.0, 1e-300, 1e-300, n=2)
+    tiny = MomentSummary.from_central(0.0, 1e-300, 1e-300)
     assert tiny.skewness == pytest.approx(1e150, rel=1e-12)
-    huge = MomentSummary.from_central(0.0, 1e200, 1e300, n=2)
+    huge = MomentSummary.from_central(0.0, 1e200, 1e300)
     assert huge.skewness == pytest.approx(1e300 / 1e200 / 1e100, rel=1e-12)
     lottery = DiscreteLottery([0.0, 1.0], [1.0, 1e-300])
     assert lottery.skewness() == pytest.approx(1e150, rel=1e-12)

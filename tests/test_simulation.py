@@ -39,7 +39,13 @@ from mvlab.simulation import (
     scenario_config_text,
 )
 from mvlab.rng import spawn_rng
-from mvlab.utilities import Expansion, UtilityFamily, UtilitySpec, panel_expected_utility
+from mvlab.utilities import (
+    Expansion,
+    UtilityFamily,
+    UtilitySpec,
+    panel_expected_utility,
+    table6_panel,
+)
 
 
 def _spec(**overrides):
@@ -148,18 +154,22 @@ class TestGenerateMvPair:
 class TestEvaluatePair:
     def test_identical_samples_agree_everywhere(self):
         x = sample(NormalParams(0.01, 0.01), 2000, seed=5)
-        outcome = evaluate_pair((x, x.copy()), [LOG1, SQRT])
-        assert all(outcome.per_utility_agreement.values())
+        agreement = evaluate_pair((x, x.copy()), [LOG1, SQRT])
+        assert all(agreement.values())
 
     def test_table3_degenerate_pair(self, table3_lotteries):
         f, g = table3_lotteries
         # expand the lotteries into weight-proportional samples
         z1 = np.repeat(f.values, (np.array([0.8, 0.2]) * 100).astype(int))
         z2 = np.repeat(g.values, (np.array([0.99, 0.01]) * 100).astype(int))
-        ln_outcome = evaluate_pair((z1 - 1.0, z2 - 1.0), [LOG1])
-        assert ln_outcome.per_utility_agreement["log:1"] is False
-        sqrt_outcome = evaluate_pair((z1, z2), [SQRT])
-        assert sqrt_outcome.per_utility_agreement["power:0.5"] is True
+        assert evaluate_pair((z1 - 1.0, z2 - 1.0), [LOG1])["log:1"] is False
+        assert evaluate_pair((z1, z2), [SQRT])["power:0.5"] is True
+
+    def test_keys_are_panel_identifiers_in_panel_order(self):
+        panel = table6_panel()[::-1]
+        x = sample(NormalParams(0.01, 0.01), 2000, seed=5)
+        agreement = evaluate_pair((x, x.copy()), panel)
+        assert list(agreement) == [u.identifier for u in panel]
 
     def test_mv_precondition_enforced(self):
         z1 = np.array([0.0, 1.0, 2.0])
@@ -186,15 +196,13 @@ class TestRunScenario:
     def test_normal_pair_at_full_scale_agrees_across_panel(self):
         # 1.05/1.05 normal pair at 100k observations: the whole utility
         # panel sides with the MV-dominant lottery
-        from mvlab.utilities import table6_panel
-
         spec = _spec(
             mean_ratio=1.05, std_ratio=1.05,
             base=MomentTarget(0.01, 0.08), n_obs=100_000, n_pairs=1,
         )
         pair = generate_mv_pair(spec, 0)
-        outcome = evaluate_pair(pair, table6_panel())
-        assert all(outcome.per_utility_agreement.values())
+        agreement = evaluate_pair(pair, table6_panel())
+        assert all(agreement.values())
 
     def test_requires_utilities(self):
         with pytest.raises(ParameterError):
@@ -257,8 +265,8 @@ class TestAttemptLoop:
         report = run_scenario(spec, utilities)
         counts = dict.fromkeys((u.identifier for u in utilities), 0)
         for idx in range(spec.n_pairs):
-            outcome = evaluate_pair(generate_mv_pair(spec, idx), utilities, idx)
-            for uid, agreed in outcome.per_utility_agreement.items():
+            agreement = evaluate_pair(generate_mv_pair(spec, idx), utilities, idx)
+            for uid, agreed in agreement.items():
                 counts[uid] += agreed
         recount = {uid: 100.0 * n / spec.n_pairs for uid, n in counts.items()}
         assert report.success_pct == recount

@@ -25,18 +25,18 @@ from mvlab.utilities import (
     approx_table,
     ara,
     clamped_panel,
-    clamped_utility,
     expected_quadratic,
     expected_utility,
     over_clamp_budget,
     panel_expected_utility,
-    round_half_away_from_zero,
     sample_expected_utility,
     table6_panel,
     taylor2,
     utility_derivatives,
     utility_value,
 )
+
+from conftest import round_half_away_from_zero
 
 LOG1 = UtilitySpec(UtilityFamily.LOG, 1.0)
 SQRT = UtilitySpec(UtilityFamily.POWER, 0.5)
@@ -310,12 +310,13 @@ class TestEvaluator:
         # mask marks the moved draws, and the budget test is elementwise
         x = np.array([[0.01, -0.9], [-0.95, 0.02], [0.03, 0.04]])
         log09 = UtilitySpec(UtilityFamily.LOG, 0.9)
-        values, clamped = clamped_utility(log09, x)
+        panel = (log09, LOG1, UtilitySpec(UtilityFamily.NEG_EXP, 3.0))
+        rows = [(sign * values, moved) for _, sign, values, moved in clamped_panel(x, panel)]
+        (values, clamped), (_, log1_moved), (_, neg_exp_moved) = rows
         np.testing.assert_array_equal(clamped, [[False, True], [True, False], [False, False]])
-        moved = np.where(clamped, -0.9 + 1e-6, x)
+        moved = np.where(x <= -0.9, -0.9 + 1e-6, x)
         np.testing.assert_array_equal(values, utility_value(log09, moved))
-        assert clamped_utility(LOG1, x)[1] is None
-        assert clamped_utility(UtilitySpec(UtilityFamily.NEG_EXP, 3.0), x)[1] is None
+        assert log1_moved is None and neg_exp_moved is None
         np.testing.assert_array_equal(
             over_clamp_budget(np.array([0.0, 2.0, 3.0]), np.array([10.0, 20000.0, 20000.0])),
             [False, False, True],
@@ -404,7 +405,7 @@ class TestFamilyTableOracle:
 
 def _family_value_before(spec, z):
     """U as the family table composed it before ``utility_value`` went
-    through ``clamped_utility``, kept verbatim so that any moved bit shows."""
+    through the clamping code, kept verbatim so that any moved bit shows."""
     family = _FAMILIES[spec.family]
     t = family.transform(z)
     out = np.empty_like(t, dtype=float)  # finish and the sign work in place
@@ -488,14 +489,21 @@ class TestPanelEvaluator:
         assert panel_expected_utility(np.zeros(3), []) == []
 
     def test_clamped_panel_is_clamped_utility_per_row(self):
+        # every row is U of the draws moved to edge + 1e-6 with the mask of
+        # the moved ones, and the utilities of one edge share that mask
         x = sample(NormalParams(0.01, 0.08), 2_000, seed=33).reshape(40, 50)
         x[0, :3] = [-1.0, -0.95, -0.9]
         moved_by_edge = {}
         for spec, sign, values, moved in clamped_panel(x, self.PANEL):
-            want_values, want_moved = clamped_utility(spec, x)
+            lo = spec.domain_min
+            bad = x <= lo
+            want_values = utility_value(spec, np.where(bad, lo + 1e-6, x))
             np.testing.assert_array_equal(sign * values, want_values)
-            np.testing.assert_array_equal(moved, want_moved)
-            assert moved is moved_by_edge.setdefault(spec.domain_min, moved)
+            if bad.any():
+                np.testing.assert_array_equal(moved, bad)
+            else:
+                assert moved is None
+            assert moved is moved_by_edge.setdefault(lo, moved)
 
 
 class TestExpectedQuadratic:
