@@ -36,6 +36,7 @@ from .errors import (
     ParameterError,
     UsageError,
 )
+from .rng import SEED_BOUND
 from .simulation import (
     DEFAULT_MASTER_SEED,
     default_scenarios,
@@ -247,6 +248,8 @@ def cmd_simulate(args) -> int:
     # A config's cells carry their own seeds, which --seed overrides; the
     # default grid runs, emits and records --seed or DEFAULT_MASTER_SEED.
     seed = args.seed
+    if seed is not None and not 0 <= seed < SEED_BOUND:
+        raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
     if seed is None and not args.config:
         seed = DEFAULT_MASTER_SEED
     if args.emit_default_config:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -72,9 +71,6 @@ class _MassMoments:
 
     def variance(self) -> float:
         return self._central[1]
-
-    def std(self) -> float:
-        return math.sqrt(self.variance())
 
     def skewness(self) -> float:
         return self.moment_summary().skewness

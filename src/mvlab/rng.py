@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import ParameterError
+
+SEED_BOUND = 1 << 64
 
 
 def spawn_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Child generator keyed by the master seed and an integer path.
 
     The same ``(master_seed, *path)`` always yields the same stream;
-    distinct paths yield statistically independent streams.
+    distinct paths yield statistically independent streams.  Every word
+    must lie in [0, 2**64), so no two seeds name one stream.
     """
-    words = [int(master_seed) & _MASK64] + [int(p) & _MASK64 for p in path]
+    words = [int(master_seed), *map(int, path)]
+    if not all(0 <= word < SEED_BOUND for word in words):
+        raise ParameterError(f"seed words must lie in [0, 2**64), got {words}")
     return np.random.default_rng(np.random.SeedSequence(words))

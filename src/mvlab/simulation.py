@@ -37,7 +37,7 @@ from .distributions import (
 )
 from .dominance import satisfies_mv
 from .errors import DomainError, GenerationError, ParameterError, UsageError
-from .rng import spawn_rng
+from .rng import SEED_BOUND, spawn_rng
 from .utilities import (
     Expansion,
     UtilitySpec,
@@ -133,6 +133,8 @@ class ScenarioSpec:
             raise ParameterError(f"n_obs must be >= 1000, got {self.n_obs}")
         if self.n_pairs < 1:
             raise ParameterError(f"n_pairs must be >= 1, got {self.n_pairs}")
+        if not 0 <= self.master_seed < SEED_BOUND:
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.master_seed}")
         needs_base_skew = self.family is Family.GEV or (
             self._needs_skew() and self.skew_ratio is not None
         )
@@ -186,62 +188,49 @@ def _solve_ratio_ends(spec: ScenarioSpec) -> None:
                 solve_params_for_moments(spec.family, target)
 
 
-def _attempt_solvable(spec: ScenarioSpec, pair_index: int, attempt: int):
-    rng = spawn_rng(spec.master_seed, _STREAM_PARAMS, pair_index, attempt)
-    target_1, target_2 = _solvable_targets(spec, rng)
+def _attempt_solvable(spec: ScenarioSpec, params_rng, z1_rng, z2_rng):
+    target_1, target_2 = _solvable_targets(spec, params_rng)
     params_1 = solve_params_for_moments(spec.family, target_1)
     params_2 = solve_params_for_moments(spec.family, target_2)
-    z1 = sample_with_rng(
-        params_1, spec.n_obs, spawn_rng(spec.master_seed, _STREAM_Z1, pair_index, attempt)
-    )
-    z2 = sample_with_rng(
-        params_2, spec.n_obs, spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt)
-    )
-    return z1, z2
+    z1 = sample_with_rng(params_1, spec.n_obs, z1_rng)
+    return z1, sample_with_rng(params_2, spec.n_obs, z2_rng)
 
 
-def _attempt_stable(spec: ScenarioSpec, pair_index: int, attempt: int):
+def _attempt_stable(spec: ScenarioSpec, params_rng, z1_rng, z2_rng):
     """One stable candidate (z1, z2), or None when rejected.
 
-    Standardized noise is drawn for both lotteries, then location/scale
-    are set from realized sample moments so the mean and std ratios land
-    exactly on the drawn targets; the candidate is rejected when sample
-    skewnesses miss the skew band (sample skewness is affine-invariant,
-    so it cannot be steered the same way).
+    Standardized noise is drawn for both lotteries, in the arrays that
+    become Z1 and Z2, and measured once each.  Z2's mean and std follow
+    from its noise's moments, and Z1's location/scale are set from them so
+    the mean and std ratios land on the drawn targets.  The candidate is
+    rejected when the noise skewnesses miss the skew band (sample skewness
+    is affine-invariant, so it cannot be steered the same way).
     """
-    rng = spawn_rng(spec.master_seed, _STREAM_PARAMS, pair_index, attempt)
-    r_mean = _draw(spec.mean_ratio, rng)
-    r_std = _draw(spec.std_ratio, rng)
-    stability = float(rng.uniform(*STABLE_STABILITY_WINDOW))
-    beta_1 = float(rng.uniform(*STABLE_SKEW_1_WINDOW))
-    beta_2 = float(rng.uniform(*STABLE_SKEW_2_WINDOW))
-    noise_1 = sample_with_rng(
-        StableParams(stability, beta_1, 1.0, 0.0),
-        spec.n_obs,
-        spawn_rng(spec.master_seed, _STREAM_Z1, pair_index, attempt),
-    )
-    noise_m1 = moments(noise_1)
-    banded, skew_1 = spec.skew_ratio is not None, noise_m1.skewness
-    if banded and skew_1 <= 0.0:
+    r_mean = _draw(spec.mean_ratio, params_rng)
+    r_std = _draw(spec.std_ratio, params_rng)
+    stability = float(params_rng.uniform(*STABLE_STABILITY_WINDOW))
+    beta_1 = float(params_rng.uniform(*STABLE_SKEW_1_WINDOW))
+    beta_2 = float(params_rng.uniform(*STABLE_SKEW_2_WINDOW))
+    z1 = sample_with_rng(StableParams(stability, beta_1, 1.0, 0.0), spec.n_obs, z1_rng)
+    noise_m1 = moments(z1)
+    banded = spec.skew_ratio is not None
+    if banded and noise_m1.skewness <= 0.0:
         return None  # before Z2 is drawn: it has its own stream, so no draw moves
-    noise_2 = sample_with_rng(
-        StableParams(stability, beta_2, 1.0, 0.0),
-        spec.n_obs,
-        spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt),
-    )
+    z2 = sample_with_rng(StableParams(stability, beta_2, 1.0, 0.0), spec.n_obs, z2_rng)
+    noise_m2 = moments(z2)
     if banded:
-        skew_2 = moments(noise_2).skewness
         lo, hi = spec.skew_ratio
-        if skew_2 <= 0.0 or not lo <= skew_2 / skew_1 <= hi:
+        if noise_m2.skewness <= 0.0 or not lo <= noise_m2.skewness / noise_m1.skewness <= hi:
             return None
     scale_2 = spec.base.std / math.sqrt(2.0)
-    z2 = spec.base.mean + scale_2 * noise_2
-    m2 = moments(z2)
-    if m2.mean <= 0.0 or m2.std == 0.0 or noise_m1.std == 0.0:
+    mean_2, std_2 = spec.base.mean + scale_2 * noise_m2.mean, scale_2 * noise_m2.std
+    if mean_2 <= 0.0 or std_2 == 0.0 or noise_m1.std == 0.0:
         return None
-    scale_1 = m2.std / (r_std * noise_m1.std)
-    location_1 = r_mean * m2.mean - scale_1 * noise_m1.mean
-    z1 = location_1 + scale_1 * noise_1
+    scale_1 = std_2 / (r_std * noise_m1.std)
+    z1 *= scale_1
+    z1 += r_mean * mean_2 - scale_1 * noise_m1.mean
+    z2 *= scale_2
+    z2 += spec.base.mean
     return z1, z2
 
 
@@ -253,8 +242,10 @@ def _accepted_pair(spec: ScenarioSpec, utilities, pair_index: int):
     stable = spec.family is Family.STABLE
     attempt_pair = _attempt_stable if stable else _attempt_solvable
     cap = STABLE_ATTEMPT_CAP if stable else SOLVABLE_ATTEMPT_CAP
+    streams = (_STREAM_PARAMS, _STREAM_Z1, _STREAM_Z2)
     for attempt in range(cap):
-        candidate = attempt_pair(spec, pair_index, attempt)
+        rngs = (spawn_rng(spec.master_seed, s, pair_index, attempt) for s in streams)
+        candidate = attempt_pair(spec, *rngs)
         if candidate is None:
             continue
         try:
@@ -454,12 +445,10 @@ def _scenario_report(spec: ScenarioSpec, utilities, results) -> ScenarioReport:
             if agreed:
                 counts[uid] += 1
             elif surface_disagreements:
-                note = (
+                diagnostics.append(
                     f"symmetric-family disagreement: scenario {spec.scenario_id}, "
                     f"pair {pair_index}, utility {uid}"
                 )
-                diagnostics.append(note)
-                log.warning("%s", note)
     success = {uid: 100.0 * counts[uid] / spec.n_pairs for uid in counts}
     return ScenarioReport(
         spec=spec,

@@ -380,6 +380,39 @@ class TestSimulate:
         main(["simulate", str(config), "--out", str(out), "--seed", "123456"])
         assert "# seed: 123456" in out.read_text()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+    @pytest.mark.parametrize("where", ["seed_flag", "emit_flag", "config_key"])
+    def test_seed_outside_64_bits_usage_error(self, tmp_path, monkeypatch, capsys, seed, where):
+        # masked to 64 bits, -1, 2**64 - 1 and 2**65 - 1 named one stream
+        monkeypatch.setattr(mvlab.cli, "pair_results", None)  # no pair may run
+        config = _small_config(tmp_path)
+        emitted = tmp_path / "default.ini"
+        argv = {
+            "seed_flag": ["simulate", str(config), "--seed", seed],
+            "emit_flag": ["simulate", "--seed", seed, "--emit-default-config", str(emitted)],
+            "config_key": ["simulate", str(config)],
+        }[where]
+        if where == "config_key":
+            config.write_text(config.read_text().replace("seed = 99", f"seed = {seed}"))
+        assert main(argv) == EXIT_USAGE
+        assert "must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not emitted.exists()
+
+    def test_symmetric_disagreements_print_once(self, tmp_path, caplog, capsys):
+        # a 100,000-draw normal cell so close to a tie that utilities disagree
+        spec = ScenarioSpec(
+            scenario_id="near_tie", family=Family.NORMAL, mean_ratio=1.0001,
+            std_ratio=1.0001, base=MomentTarget(0.01, 0.1), n_obs=100_000,
+            n_pairs=6, master_seed=5,
+        )
+        config = tmp_path / "grid.ini"
+        config.write_text(scenario_config_text([spec]))
+        assert main(["simulate", str(config)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        notes = re.findall(r"^  diagnostic: (.*)$", out, flags=re.MULTILINE)
+        assert notes and len(set(notes)) == len(notes)
+        assert err == "" and caplog.records == []
+
     def test_emit_default_config_round_trips(self, tmp_path):
         config_path = tmp_path / "default.ini"
         assert main(["simulate", "--emit-default-config", str(config_path)]) == EXIT_OK
@@ -530,10 +563,10 @@ class TestSimulate:
         marker = tmp_path / "attempts.log"
         attempt_solvable = simulation._attempt_solvable
 
-        def marked_attempt(spec, pair_index, attempt):
+        def marked_attempt(spec, *rngs):
             with open(marker, "a", encoding="utf-8") as handle:
                 handle.write(f"{spec.scenario_id}\n")
-            return attempt_solvable(spec, pair_index, attempt)
+            return attempt_solvable(spec, *rngs)
 
         monkeypatch.setattr(simulation, "_attempt_solvable", marked_attempt)
         cell = dict(

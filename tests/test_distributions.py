@@ -178,6 +178,12 @@ def test_samplers_bit_identical_to_former_expressions(params, before, n):
         assert got.tobytes() == want.tobytes(), seed
 
 
+@pytest.mark.parametrize("words", [(-1,), (2**64,), (1, 2**64 + 3), (1, -2)])
+def test_spawn_rng_rejects_words_outside_64_bits(words):
+    with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+        spawn_rng(*words)
+
+
 class TestMoments:
     def test_weighted_example(self):
         x = np.array([5.0] * 4 + [10.0] * 6)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import types
 from collections import Counter
@@ -61,6 +62,14 @@ def _spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def _streams(spec, pair_index, attempt):
+    """The three generators ``_accepted_pair`` derives for one attempt."""
+    return [
+        spawn_rng(spec.master_seed, stream, pair_index, attempt)
+        for stream in (_STREAM_PARAMS, _STREAM_Z1, _STREAM_Z2)
+    ]
 
 
 _STABLE_CELL = dict(mean_ratio=(1.01, 1.1), std_ratio=(1.01, 1.1),
@@ -369,10 +378,11 @@ class TestAttemptLoop:
         marker = tmp_path / "attempts.log"
         attempt_solvable = simulation._attempt_solvable
 
-        def marked_attempt(spec, pair_index, attempt):
+        def marked_attempt(spec, params_rng, *rngs):
+            pair_index = params_rng.bit_generator.seed_seq.entropy[2]  # (seed, stream, pair, attempt)
             with open(marker, "a", encoding="utf-8") as handle:
                 handle.write(f"{spec.scenario_id} {pair_index}\n")
-            return attempt_solvable(spec, pair_index, attempt)
+            return attempt_solvable(spec, params_rng, *rngs)
 
         monkeypatch.setattr(simulation, "_attempt_solvable", marked_attempt)
         specs = [
@@ -432,43 +442,33 @@ class TestKeepFreedMemory:
         assert simulation.keep_freed_memory() is None
 
 
-def _attempt_stable_two_draws(spec, pair_index, attempt):
-    # verbatim copy of _attempt_stable before its early exit: both noise
-    # samples are drawn before either skewness is checked
-    rng = spawn_rng(spec.master_seed, _STREAM_PARAMS, pair_index, attempt)
-    r_mean = _draw(spec.mean_ratio, rng)
-    r_std = _draw(spec.std_ratio, rng)
-    stability = float(rng.uniform(*STABLE_STABILITY_WINDOW))
-    beta_1 = float(rng.uniform(*STABLE_SKEW_1_WINDOW))
-    beta_2 = float(rng.uniform(*STABLE_SKEW_2_WINDOW))
-    noise_1 = sample_with_rng(
-        StableParams(stability, beta_1, 1.0, 0.0),
-        spec.n_obs,
-        spawn_rng(spec.master_seed, _STREAM_Z1, pair_index, attempt),
-    )
-    noise_2 = sample_with_rng(
-        StableParams(stability, beta_2, 1.0, 0.0),
-        spec.n_obs,
-        spawn_rng(spec.master_seed, _STREAM_Z2, pair_index, attempt),
-    )
-    noise_m1 = moments(noise_1)
+def _attempt_stable_two_draws(spec, params_rng, z1_rng, z2_rng):
+    # _attempt_stable's construction without its early exit: both noise
+    # samples are drawn before either skewness is checked, and Z1 and Z2
+    # are built out of place
+    r_mean = _draw(spec.mean_ratio, params_rng)
+    r_std = _draw(spec.std_ratio, params_rng)
+    stability = float(params_rng.uniform(*STABLE_STABILITY_WINDOW))
+    beta_1 = float(params_rng.uniform(*STABLE_SKEW_1_WINDOW))
+    beta_2 = float(params_rng.uniform(*STABLE_SKEW_2_WINDOW))
+    noise_1 = sample_with_rng(StableParams(stability, beta_1, 1.0, 0.0), spec.n_obs, z1_rng)
+    noise_2 = sample_with_rng(StableParams(stability, beta_2, 1.0, 0.0), spec.n_obs, z2_rng)
+    noise_m1, noise_m2 = moments(noise_1), moments(noise_2)
     if spec.skew_ratio is not None:
-        skew_1 = noise_m1.skewness
-        skew_2 = moments(noise_2).skewness
+        skew_1, skew_2 = noise_m1.skewness, noise_m2.skewness
         if skew_1 <= 0.0 or skew_2 <= 0.0:
             return None
         lo, hi = spec.skew_ratio
         if not lo <= skew_2 / skew_1 <= hi:
             return None
     scale_2 = spec.base.std / math.sqrt(2.0)
-    z2 = spec.base.mean + scale_2 * noise_2
-    m2 = moments(z2)
-    if m2.mean <= 0.0 or m2.std == 0.0 or noise_m1.std == 0.0:
+    mean_2 = spec.base.mean + scale_2 * noise_m2.mean
+    std_2 = scale_2 * noise_m2.std
+    if mean_2 <= 0.0 or std_2 == 0.0 or noise_m1.std == 0.0:
         return None
-    scale_1 = m2.std / (r_std * noise_m1.std)
-    location_1 = r_mean * m2.mean - scale_1 * noise_m1.mean
-    z1 = location_1 + scale_1 * noise_1
-    return z1, z2
+    scale_1 = std_2 / (r_std * noise_m1.std)
+    location_1 = r_mean * mean_2 - scale_1 * noise_m1.mean
+    return location_1 + scale_1 * noise_1, spec.base.mean + scale_2 * noise_2
 
 
 def _with_moments(attempt_pair):
@@ -476,7 +476,7 @@ def _with_moments(attempt_pair):
     followed by the sample moments of z1 and of z2."""
 
     def attempt(spec, pair_index, attempt):
-        candidate = attempt_pair(spec, pair_index, attempt)
+        candidate = attempt_pair(spec, *_streams(spec, pair_index, attempt))
         if candidate is None:
             return None
         z1, z2 = candidate
@@ -530,8 +530,8 @@ class TestAttemptStableEarlyExit:
         rejected = 0
         for pair_index in range(12):
             for attempt in range(12):
-                got = simulation._attempt_stable(spec, pair_index, attempt)
-                want = _attempt_stable_two_draws(spec, pair_index, attempt)
+                got = simulation._attempt_stable(spec, *_streams(spec, pair_index, attempt))
+                want = _attempt_stable_two_draws(spec, *_streams(spec, pair_index, attempt))
                 assert (got is None) == (want is None)
                 if got is None:
                     rejected += 1
@@ -549,17 +549,51 @@ class TestAttemptStableEarlyExit:
 
         def recording_sampler(params, n, rng):
             draws.append(sampler(params, n, rng))
-            return draws[-1]
+            return draws[-1].copy()  # the attempt scales its draws in place
 
         monkeypatch.setattr(simulation, "sample_with_rng", recording_sampler)
         early = 0
         for pair_index in range(4):
             for attempt in range(50):
                 draws.clear()
-                simulation._attempt_stable(spec, pair_index, attempt)
+                simulation._attempt_stable(spec, *_streams(spec, pair_index, attempt))
                 assert len(draws) == (1 if moments(draws[0]).skewness <= 0.0 else 2)
                 early += len(draws) == 1
         assert early > 0
+
+    def test_only_the_judge_measures_z1_and_z2(self, monkeypatch):
+        # a banded attempt measures its two noise draws once each, before
+        # they are scaled into Z1 and Z2; evaluate_pair measures Z1 and Z2
+        spec = _spec(family=Family.STABLE, skew_ratio=(1.5, 3.0), n_obs=1000, **_STABLE_CELL)
+        draws, measured = [], []
+        sampler, measure = simulation.sample_with_rng, simulation.moments
+
+        def recording_sampler(params, n, rng):
+            draws.append(sampler(params, n, rng))
+            return draws[-1].copy()
+
+        def recording_moments(x):
+            measured.append(x.copy())
+            return measure(x)
+
+        monkeypatch.setattr(simulation, "sample_with_rng", recording_sampler)
+        monkeypatch.setattr(simulation, "moments", recording_moments)
+        candidates = 0
+        for attempt in range(60):
+            draws.clear()
+            measured.clear()
+            candidate = simulation._attempt_stable(spec, *_streams(spec, 0, attempt))
+            if candidate is None:
+                continue
+            candidates += 1
+            assert len(measured) == 2
+            assert all(np.array_equal(m, d) for m, d in zip(measured, draws))
+            measured.clear()
+            with contextlib.suppress(ParameterError, DomainError):
+                simulation.evaluate_pair(candidate, [LOG1], 0)
+            assert len(measured) == 2
+            assert all(np.array_equal(m, z) for m, z in zip(measured, candidate))
+        assert candidates > 0
 
 
 class TestMonotonicity:
