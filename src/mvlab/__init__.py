@@ -71,7 +71,6 @@ from .utilities import (
     UtilityFamily,
     UtilitySpec,
     approx_table,
-    ara,
     clamped_panel,
     expected_quadratic,
     expected_utility,

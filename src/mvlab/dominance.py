@@ -159,11 +159,13 @@ class EmpiricalDistribution(_MassMoments):
             raise ParameterError("empty support")
         if support.size != values.size:
             raise ParameterError("support and cdf must align")
-        if np.any(np.diff(support) <= 0.0):
-            raise ParameterError("support must be strictly increasing")
-        if np.any(np.diff(values) < -TOL):
+        # NaN fails each check; with finite ends, an increasing support is finite.
+        if not (np.isfinite(support[0]) and np.isfinite(support[-1])
+                and np.all(np.diff(support) > 0.0)):
+            raise ParameterError("support must be finite and strictly increasing")
+        if not np.all(np.diff(values) >= -TOL):
             raise ParameterError("cdf must be non-decreasing")
-        if abs(values[-1] - 1.0) > TOL:
+        if not abs(values[-1] - 1.0) <= TOL:
             raise ParameterError(f"cdf must reach 1, got {values[-1]}")
         support.setflags(write=False)
         values.setflags(write=False)
@@ -190,7 +192,7 @@ class EmpiricalDistribution(_MassMoments):
 
 
 def ecdf(source) -> EmpiricalDistribution:
-    """Step CDF of a lottery (jumps = probabilities) or sample
+    """Step CDF of a lottery (jumps = probabilities) or finite sample
     (jumps = multiplicity / n).  A lottery's CDF keeps the lottery's own
     masses for its moments, so both report the same moments bit for bit,
     even for an atom too small to move the running CDF."""

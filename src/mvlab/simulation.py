@@ -17,7 +17,6 @@ from __future__ import annotations
 import configparser
 import contextlib
 import ctypes
-import logging
 import math
 import os
 from collections.abc import Iterator
@@ -37,7 +36,7 @@ from .distributions import (
 )
 from .dominance import satisfies_mv
 from .errors import DomainError, GenerationError, ParameterError, UsageError
-from .rng import SEED_BOUND, spawn_rng
+from .rng import SEED_BOUND, as_int, spawn_rng
 from .utilities import (
     Expansion,
     UtilitySpec,
@@ -48,8 +47,6 @@ from .utilities import (
 # ``sample_expected_utility`` is not called here; it stays a module attribute
 # because bench/tracing.py wraps it at this module.
 from .utilities import sample_expected_utility
-
-log = logging.getLogger(__name__)
 
 SOLVABLE_ATTEMPT_CAP = 100
 STABLE_ATTEMPT_CAP = 10_000
@@ -107,6 +104,7 @@ class ScenarioSpec:
     ``base`` anchors the moment levels: lottery 2 takes the base mean and
     std; the base skewness is lottery 1's level and lottery 2 is scaled
     up by the skew ratio (the dominated lottery is the more skewed one).
+    Normal and Laplace cells are symmetric: they take neither.
     """
 
     scenario_id: str
@@ -129,22 +127,21 @@ class ScenarioSpec:
             value = getattr(self, name)
             if value is not None and value[0] < 1.0:
                 raise ParameterError(f"{name} must be >= 1, got {value[0]}")
+        for name in ("n_obs", "n_pairs", "master_seed"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.n_obs < 1_000:
             raise ParameterError(f"n_obs must be >= 1000, got {self.n_obs}")
         if self.n_pairs < 1:
             raise ParameterError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if not 0 <= self.master_seed < SEED_BOUND:
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.master_seed}")
-        needs_base_skew = self.family is Family.GEV or (
-            self._needs_skew() and self.skew_ratio is not None
-        )
+        skewed = self.skew_ratio is not None or self.base.skewness is not None
+        if self.family in (Family.NORMAL, Family.LAPLACE) and skewed:
+            raise ParameterError(f"{self.family.value} is symmetric; its scenarios take no "
+                                 "skew ratio or base skewness")
+        needs_base_skew = self.family is Family.GEV or self.skew_ratio is not None
         if needs_base_skew and self.base.skewness is None:
-            raise ParameterError(
-                f"{self.family.value} scenarios need a base skewness"
-            )
-
-    def _needs_skew(self) -> bool:
-        return self.family not in (Family.NORMAL, Family.LAPLACE)
+            raise ParameterError(f"{self.family.value} scenarios need a base skewness")
 
 
 @dataclass(frozen=True)
@@ -166,11 +163,9 @@ def _solvable_targets(
 ) -> tuple[MomentTarget, MomentTarget]:
     r_mean = _draw(spec.mean_ratio, rng)
     r_std = _draw(spec.std_ratio, rng)
-    if spec._needs_skew() and spec.skew_ratio is not None:
-        skew_1 = spec.base.skewness
-        skew_2 = _draw(spec.skew_ratio, rng) * skew_1
-    else:
-        skew_1 = skew_2 = spec.base.skewness if spec._needs_skew() else None
+    skew_1 = skew_2 = spec.base.skewness
+    if spec.skew_ratio is not None:
+        skew_2 *= _draw(spec.skew_ratio, rng)
     target_1 = MomentTarget(spec.base.mean * r_mean, spec.base.std / r_std, skew_1)
     target_2 = MomentTarget(spec.base.mean, spec.base.std, skew_2)
     return target_1, target_2
@@ -323,12 +318,6 @@ def run_scenario(
     aggregation is exact integer counting in index order.
     """
     utilities = list(utilities)
-    if spec.skew_ratio is not None and not spec._needs_skew():
-        log.info(
-            "scenario %s: %s is symmetric, skew ratio ignored",
-            spec.scenario_id,
-            spec.family.value,
-        )
     if results is None:
         with pair_results([spec], utilities, workers) as own:
             return _scenario_report(spec, utilities, own)
@@ -590,7 +579,8 @@ def load_scenario_config(
     """Parse an INI scenario file: one section per cell with keys family,
     mean_ratio, std_ratio, base_mean, base_std, n_obs, n_pairs, seed and
     optionally skew_ratio / base_skew.  Intervals use ``lo..hi``.  A cell
-    with a target that cannot be solved is a usage error."""
+    that :class:`ScenarioSpec` rejects (a normal cell with a skew input,
+    say) or whose target cannot be solved is a usage error."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:

@@ -47,8 +47,8 @@ class Expansion(str, enum.Enum):
 @dataclass(frozen=True)
 class _Family:
     """One family: the parameter rule 0 < a < a_max, and the open domain
-    edge in z (-inf for all reals), (U', U'', U''') and ARA as functions
-    of a and, but for the edge, of an array z inside the domain.
+    edge in z (-inf for all reals) and (U', U'', U''') as functions of a
+    and, but for the edge, of an array z inside the domain.
 
     U is ``sign * finish(a, transform(z), out)``.  ``transform`` does not
     depend on a, so a panel takes it once per sample and domain edge;
@@ -60,7 +60,6 @@ class _Family:
     finish: Callable
     sign: float
     derivatives: Callable
-    ara: Callable
 
 
 def _exp_of_scaled(scale: float) -> Callable:
@@ -86,10 +85,7 @@ def _power_of_1pz(sign: float, a_max: float) -> _Family:
         k3 = k2 * (p - 2.0)
         return _times(k1, w ** (p - 1.0)), _times(k2, w ** (p - 2.0)), _times(k3, w ** (p - 3.0))
 
-    return _Family(
-        a_max, lambda a: -1.0, np.log1p, _exp_of_scaled(sign), sign,
-        derivatives, lambda a, z: (1.0 - sign * a) / (1.0 + z),
-    )
+    return _Family(a_max, lambda a: -1.0, np.log1p, _exp_of_scaled(sign), sign, derivatives)
 
 
 def _neg_exp_derivatives(a, z):
@@ -111,11 +107,9 @@ _FAMILIES = {
         math.inf, lambda a: -a, _identity,
         lambda a, t, out: np.log(np.add(t, a, out=out), out=out), 1.0,
         lambda a, z: (1.0 / (a + z), -1.0 / (a + z) ** 2, 2.0 / (a + z) ** 3),
-        lambda a, z: 1.0 / (a + z),
     ),
     UtilityFamily.NEG_EXP: _Family(
-        math.inf, lambda a: -math.inf, _one_plus, _exp_of_scaled(-1.0), -1.0,
-        _neg_exp_derivatives, lambda a, z: np.full_like(z, a),
+        math.inf, lambda a: -math.inf, _one_plus, _exp_of_scaled(-1.0), -1.0, _neg_exp_derivatives
     ),
     UtilityFamily.NEG_POWER: _power_of_1pz(-1.0, a_max=math.inf),
 }
@@ -209,11 +203,6 @@ def utility_value(spec: UtilitySpec, z):
 def utility_derivatives(spec: UtilitySpec, z):
     """Closed-form (U', U'', U''') at z."""
     return _pointwise(spec, z, _FAMILIES[spec.family].derivatives)
-
-
-def ara(spec: UtilitySpec, z):
-    """Absolute risk aversion -U''/U' in closed form."""
-    return _pointwise(spec, z, _FAMILIES[spec.family].ara)
 
 
 def taylor2(spec: UtilitySpec, center: float) -> QuadraticApprox:

@@ -502,8 +502,14 @@ class TestSimulate:
              "gev target skewness -0.17600000000000002 outside solvable range "
              "(-0.168103, 428903906.822987) for shape in (-1/3, 1/3)"),
             (dict(mean_ratio="1..1e308", base_mean="2"), "target mean must be finite, got inf"),
+            # symmetric families have no skewness to take
+            (dict(skew_ratio="1.5"),
+             "normal is symmetric; its scenarios take no skew ratio or base skewness"),
+            (dict(family="laplace", base_skew="0.2"),
+             "laplace is symmetric; its scenarios take no skew ratio or base skewness"),
         ],
-        ids=["skew_normal", "skew_normal_upper_end", "gev", "mean_overflow"],
+        ids=["skew_normal", "skew_normal_upper_end", "gev", "mean_overflow", "skew_ratio",
+             "base_skew"],
     )
     def test_infeasible_cell_fails_at_load(self, tmp_path, capsys, overrides, message):
         config = _small_config(tmp_path, n_pairs=200)

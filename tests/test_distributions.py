@@ -184,6 +184,19 @@ def test_spawn_rng_rejects_words_outside_64_bits(words):
         spawn_rng(*words)
 
 
+@pytest.mark.parametrize("words", [(5.7,), (5, 1.0), ("5",), (None,)])
+def test_spawn_rng_rejects_non_integer_words(words):
+    # truncating 5.7 would run seed 5's stream under another name
+    with pytest.raises(ParameterError, match="seed word must be an integer"):
+        spawn_rng(*words)
+
+
+def test_spawn_rng_numpy_integers_give_python_int_streams():
+    want = spawn_rng(5, 1, 2).random(4)
+    got = spawn_rng(np.int64(5), np.uint8(1), np.uint64(2)).random(4)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestMoments:
     def test_weighted_example(self):
         x = np.array([5.0] * 4 + [10.0] * 6)

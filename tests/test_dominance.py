@@ -83,6 +83,21 @@ class TestEcdf:
         with pytest.raises(ParameterError):
             ecdf(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_rejected(self, bad):
+        # NaN sorts to the end of the support, where a plain comparison passes it
+        with pytest.raises(ParameterError, match="finite"):
+            ecdf(np.array([0.1, bad, 0.2]))
+
+    @pytest.mark.parametrize(
+        "support, cdf",
+        [([np.nan], [1.0]), ([1.0, np.nan, 2.0], [0.2, 0.5, 1.0]),
+         ([1.0, 2.0], [np.nan, 1.0]), ([1.0, 2.0], [0.5, np.nan])],
+    )
+    def test_nan_fails_validation(self, support, cdf):
+        with pytest.raises(ParameterError):
+            EmpiricalDistribution(np.array(support), np.array(cdf))
+
     def test_cdf_validation(self):
         with pytest.raises(ParameterError):
             EmpiricalDistribution(np.array([1.0, 2.0]), np.array([0.7, 0.5]))

@@ -101,6 +101,30 @@ class TestScenarioSpec:
         assert spec.mean_ratio == (1.01, 1.1)
         assert spec.std_ratio == (1.05, 1.05)
 
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.LAPLACE])
+    @pytest.mark.parametrize(
+        "skew", [dict(skew_ratio=1.5), dict(base=MomentTarget(0.01, 0.008, 0.2))],
+        ids=["skew_ratio", "base_skew"],
+    )
+    def test_symmetric_cells_take_no_skew(self, family, skew):
+        with pytest.raises(ParameterError, match="symmetric"):
+            _spec(family=family, **skew)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("master_seed", 5.7), ("master_seed", "5"), ("n_obs", 2000.5), ("n_pairs", 2.5)],
+    )
+    def test_seed_and_sizes_must_be_integers(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            _spec(**{name: value})
+
+    def test_numpy_integers_run_as_python_ints(self):
+        spec = _spec(master_seed=np.uint64(77), n_obs=np.int32(2000), n_pairs=np.int64(4))
+        assert all(type(v) is int for v in (spec.master_seed, spec.n_obs, spec.n_pairs))
+        assert spec == _spec()
+        got, want = generate_mv_pair(spec, 1), generate_mv_pair(_spec(), 1)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
 
 class TestTargets:
     def test_point_ratio_arithmetic(self):

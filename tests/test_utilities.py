@@ -23,7 +23,6 @@ from mvlab.utilities import (
     UtilityFamily,
     UtilitySpec,
     approx_table,
-    ara,
     clamped_panel,
     expected_quadratic,
     expected_utility,
@@ -157,30 +156,6 @@ def test_shape_signs_over_the_whole_parameter_range(case):
     spec, z = case
     u1, u2, u3 = utility_derivatives(spec, z)
     assert u1 >= 0.0 and u2 <= 0.0 and u3 >= 0.0, (u1, u2, u3)
-
-
-class TestARA:
-    def test_neg_exp_constant(self):
-        spec = UtilitySpec(UtilityFamily.NEG_EXP, 3.0)
-        for z in (-0.5, 0.0, 2.0):
-            assert ara(spec, z) == 3.0
-
-    def test_log_closed_form(self):
-        assert ara(LOG1, 0.0) == pytest.approx(1.0)
-
-    def test_neg_power_closed_form(self):
-        assert ara(UtilitySpec(UtilityFamily.NEG_POWER, 1.0), 0.0) == pytest.approx(2.0)
-
-    def test_power_closed_form(self):
-        assert ara(SQRT, 1.0) == pytest.approx(0.25)
-
-    @pytest.mark.parametrize("spec", table6_panel(), ids=lambda s: s.identifier)
-    def test_matches_derivative_ratio(self, spec):
-        z = _domain_grid(spec, 25)
-        u1, u2, _ = utility_derivatives(spec, z)
-        direct = -u2 / u1
-        closed = ara(spec, z)
-        assert np.all(np.abs(direct - closed) <= 4 * np.spacing(np.abs(closed)))
 
 
 class TestTaylor:
@@ -369,17 +344,6 @@ def _oracle_derivatives(spec, arr):
     return u1, u2, u3
 
 
-def _oracle_ara(spec, arr):
-    a = spec.a
-    if spec.family is UtilityFamily.POWER:
-        return (1.0 - a) / (1.0 + arr)
-    if spec.family is UtilityFamily.LOG:
-        return 1.0 / (a + arr)
-    if spec.family is UtilityFamily.NEG_EXP:
-        return np.full_like(arr, a) if arr.ndim else a
-    return (1.0 + a) / (1.0 + arr)
-
-
 class TestFamilyTableOracle:
     @pytest.mark.parametrize("spec", table6_panel() + CLASSIC_UTILITIES, ids=str)
     def test_bit_identical_to_per_family_formulas(self, spec):
@@ -390,7 +354,6 @@ class TestFamilyTableOracle:
         assert np.array_equal(utility_value(spec, grid), _oracle_value(spec, grid))
         for got, want in zip(utility_derivatives(spec, grid), _oracle_derivatives(spec, grid)):
             assert np.array_equal(got, want)
-        assert np.array_equal(ara(spec, grid), _oracle_ara(spec, grid))
         for z in list(grid[:60:3]) + list(grid[60::400]):
             z = float(z)
             arr = np.asarray(z)
@@ -399,8 +362,6 @@ class TestFamilyTableOracle:
             derivs = utility_derivatives(spec, z)
             assert all(type(u) is float for u in derivs)
             assert derivs == tuple(float(u) for u in _oracle_derivatives(spec, arr))
-            risk = ara(spec, z)
-            assert type(risk) is float and risk == float(_oracle_ara(spec, arr))
 
 
 def _family_value_before(spec, z):
