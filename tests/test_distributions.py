@@ -184,7 +184,7 @@ def test_spawn_rng_rejects_words_outside_64_bits(words):
         spawn_rng(*words)
 
 
-@pytest.mark.parametrize("words", [(5.7,), (5, 1.0), ("5",), (None,)])
+@pytest.mark.parametrize("words", [(5.7,), (5, 1.0), ("5",), (None,), (np.float64(5.0),)])
 def test_spawn_rng_rejects_non_integer_words(words):
     # truncating 5.7 would run seed 5's stream under another name
     with pytest.raises(ParameterError, match="seed word must be an integer"):

@@ -96,6 +96,11 @@ class TestScenarioSpec:
             _spec(family=Family.SKEW_NORMAL, skew_ratio=3.0,
                   base=MomentTarget(0.01, 0.02))
 
+    def test_gev_cells_need_base_skewness(self):
+        # GEV solves its shape from a skewness even when no ratio scales it
+        with pytest.raises(ParameterError, match="gev scenarios need a base skewness"):
+            _spec(family=Family.GEV)
+
     def test_interval_normalization(self):
         spec = _spec(mean_ratio=(1.01, 1.1))
         assert spec.mean_ratio == (1.01, 1.1)
@@ -112,7 +117,8 @@ class TestScenarioSpec:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("master_seed", 5.7), ("master_seed", "5"), ("n_obs", 2000.5), ("n_pairs", 2.5)],
+        [("master_seed", 5.7), ("master_seed", "5"), ("n_obs", 2000.5), ("n_pairs", 2.5),
+         ("master_seed", np.float64(5.0))],
     )
     def test_seed_and_sizes_must_be_integers(self, name, value):
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
@@ -144,6 +150,28 @@ class TestTargets:
         assert t2.skewness == pytest.approx(0.6)
         # both inside the skew-normal feasibility cap
         assert abs(t2.skewness) < 0.99527
+
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.LAPLACE])
+    def test_symmetric_targets_carry_no_skew(self, family):
+        t1, t2 = _solvable_targets(_spec(family=family), spawn_rng(1))
+        assert t1.skewness is None and t2.skewness is None
+
+    @pytest.mark.parametrize("family", [Family.SKEW_NORMAL, Family.GEV])
+    def test_base_skew_without_ratio_on_both(self, family):
+        spec = _spec(family=family, base=MomentTarget(0.01, 0.08, 0.2))
+        t1, t2 = _solvable_targets(spec, spawn_rng(1))
+        assert t1.skewness == t2.skewness == 0.2
+
+    def test_interval_skew_ratio_scales_lottery_two(self):
+        spec = _spec(family=Family.SKEW_NORMAL, skew_ratio=(1.5, 3.0),
+                     base=MomentTarget(0.01, 0.08, 0.2))
+        ratios = set()
+        for seed in range(20):
+            t1, t2 = _solvable_targets(spec, spawn_rng(seed))
+            assert t1.skewness == 0.2
+            assert 1.5 <= t2.skewness / 0.2 <= 3.0
+            ratios.add(t2.skewness)
+        assert len(ratios) == 20
 
 
 class TestGenerateMvPair:
