@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfeasibleTargetError, ParameterError, UnsupportedFamilyError
-from .rng import spawn_rng
+from .rng import as_int, spawn_rng
 
 # Population skewness of the skew-normal as shape -> +inf:
 # (4-pi)/2 * (2/pi)^{3/2} / (1 - 2/pi)^{3/2}
@@ -170,14 +170,15 @@ class MomentTarget:
 
 def sample(params: FamilyParams, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values; a pure function of ``(params, n, seed)``."""
-    if n < 1:
-        raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = spawn_rng(seed)
-    return sample_with_rng(params, n, rng)
+    return sample_with_rng(params, n, spawn_rng(seed))
 
 
 def sample_with_rng(params: FamilyParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Like :func:`sample` but consuming an externally derived stream."""
+    """Like :func:`sample` but consuming an externally derived stream.
+    ``n`` is an integer (a Python or NumPy int) of at least 1."""
+    n = as_int("sample size", n)
+    if n < 1:
+        raise ParameterError(f"sample size must be >= 1, got {n}")
     if isinstance(params, NormalParams):
         return rng.normal(params.mu, params.sigma, n)
     if isinstance(params, LaplaceParams):

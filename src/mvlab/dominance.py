@@ -165,6 +165,8 @@ class EmpiricalDistribution(_MassMoments):
             raise ParameterError("support must be finite and strictly increasing")
         if not np.all(np.diff(values) >= -TOL):
             raise ParameterError("cdf must be non-decreasing")
+        if not values[0] >= -TOL:
+            raise ParameterError(f"cdf must start at or above 0, got {values[0]}")
         if not abs(values[-1] - 1.0) <= TOL:
             raise ParameterError(f"cdf must reach 1, got {values[-1]}")
         support.setflags(write=False)
@@ -430,12 +432,12 @@ def splits_like_csv(raw: bytes) -> bool:
     return np.diff(breaks, prepend=-1, append=len(raw)).max() <= limit
 
 
-def _lottery_block(path) -> DiscreteLottery | None:
-    """The lottery in the block under the header, parsed by NumPy's C
-    reader, or None when the file needs :func:`load_lottery`'s row loop:
-    bytes that fail :func:`splits_like_csv`, a cell ``loadtxt`` cannot
-    read, a warning, or a block the lottery rejects.  The file's bytes are
-    read once for the checks."""
+def _lottery_block(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The value and probability columns of the block under the header,
+    parsed by NumPy's C reader, or None when the file needs
+    :func:`load_lottery`'s row loop: bytes that fail
+    :func:`splits_like_csv`, a cell ``loadtxt`` cannot read, or a
+    warning.  The file's bytes are read once for the checks."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -447,7 +449,7 @@ def _lottery_block(path) -> DiscreteLottery | None:
                 path, delimiter=",", skiprows=1, usecols=(0, 1), comments=None,
                 ndmin=2, encoding="utf-8",
             )
-        return DiscreteLottery(block[:, 0], block[:, 1])
+        return block[:, 0], block[:, 1]
     except (OSError, ValueError, Warning):
         return None
 
@@ -455,28 +457,28 @@ def _lottery_block(path) -> DiscreteLottery | None:
 def load_lottery(path) -> DiscreteLottery:
     """Read a ``value,probability`` CSV into a lottery.  The block under
     the header goes through :func:`_lottery_block` first; the row loop
-    reads only the files it hands back, and names every error."""
+    reads only the files it hands back, and names every row error."""
     records = csv_rows(path, "lottery")
     header = next(records)
     if header is None or [h.strip().lower() for h in header[:2]] != ["value", "probability"]:
         raise IngestionError(f"{path}: expected header 'value,probability', got {header}")
-    lottery = _lottery_block(path)
-    if lottery is not None:
-        records.close()
-        return lottery
-    values = []
-    probs = []
-    for row_no, row in records:
-        if len(row) < 2:
-            raise IngestionError(f"{path}:{row_no}: expected two columns")
-        try:
-            values.append(float(row[0]))
-            probs.append(float(row[1]))
-        except ValueError as exc:
-            raise IngestionError(f"{path}:{row_no}: {exc}") from exc
-    if not values:
-        raise IngestionError(f"{path}: no outcomes found")
+    columns = _lottery_block(path)
+    if columns is None:
+        values = []
+        probs = []
+        for row_no, row in records:
+            if len(row) < 2:
+                raise IngestionError(f"{path}:{row_no}: expected two columns")
+            try:
+                values.append(float(row[0]))
+                probs.append(float(row[1]))
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{row_no}: {exc}") from exc
+        if not values:
+            raise IngestionError(f"{path}: no outcomes found")
+        columns = values, probs
+    records.close()
     try:
-        return DiscreteLottery(np.array(values), np.array(probs))
+        return DiscreteLottery(*columns)
     except ParameterError as exc:
         raise IngestionError(f"{path}: {exc}") from exc

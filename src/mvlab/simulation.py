@@ -21,8 +21,9 @@ import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,6 +106,10 @@ class ScenarioSpec:
     std; the base skewness is lottery 1's level and lottery 2 is scaled
     up by the skew ratio (the dominated lottery is the more skewed one).
     Normal and Laplace cells are symmetric: they take neither.
+
+    A non-stable cell solves its targets at both ends of every ratio
+    interval, so one that cannot be solved raises here.  The ends suffice:
+    targets are monotone in the ratios, feasible skewnesses an interval.
     """
 
     scenario_id: str
@@ -142,6 +147,10 @@ class ScenarioSpec:
         needs_base_skew = self.family is Family.GEV or self.skew_ratio is not None
         if needs_base_skew and self.base.skewness is None:
             raise ParameterError(f"{self.family.value} scenarios need a base skewness")
+        if self.family is not Family.STABLE:
+            for end in (0, 1):
+                for target in _solvable_targets(self, itemgetter(end)):
+                    solve_params_for_moments(self.family, target)
 
 
 @dataclass(frozen=True)
@@ -158,33 +167,21 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _solvable_targets(
-    spec: ScenarioSpec, rng: np.random.Generator
-) -> tuple[MomentTarget, MomentTarget]:
-    r_mean = _draw(spec.mean_ratio, rng)
-    r_std = _draw(spec.std_ratio, rng)
+def _solvable_targets(spec: ScenarioSpec, ratio) -> tuple[MomentTarget, MomentTarget]:
+    """The two lotteries' targets, with ``ratio`` taking each ratio from its
+    interval: a seeded draw in an attempt, an interval end in the check."""
+    r_mean = ratio(spec.mean_ratio)
+    r_std = ratio(spec.std_ratio)
     skew_1 = skew_2 = spec.base.skewness
     if spec.skew_ratio is not None:
-        skew_2 *= _draw(spec.skew_ratio, rng)
+        skew_2 *= ratio(spec.skew_ratio)
     target_1 = MomentTarget(spec.base.mean * r_mean, spec.base.std / r_std, skew_1)
     target_2 = MomentTarget(spec.base.mean, spec.base.std, skew_2)
     return target_1, target_2
 
 
-def _solve_ratio_ends(spec: ScenarioSpec) -> None:
-    """Solve a solvable cell's targets with its ratios at either end of their
-    intervals, so an infeasible one fails before any pair runs.  The ends
-    suffice: targets are monotone in the ratios, feasible skewnesses an interval."""
-    if spec.family is not Family.STABLE:
-        for end in (0, 1):
-            point = replace(spec, mean_ratio=spec.mean_ratio[end], std_ratio=spec.std_ratio[end],
-                            skew_ratio=spec.skew_ratio and spec.skew_ratio[end])
-            for target in _solvable_targets(point, None):  # a point interval draws nothing
-                solve_params_for_moments(spec.family, target)
-
-
 def _attempt_solvable(spec: ScenarioSpec, params_rng, z1_rng, z2_rng):
-    target_1, target_2 = _solvable_targets(spec, params_rng)
+    target_1, target_2 = _solvable_targets(spec, lambda interval: _draw(interval, params_rng))
     params_1 = solve_params_for_moments(spec.family, target_1)
     params_2 = solve_params_for_moments(spec.family, target_2)
     z1 = sample_with_rng(params_1, spec.n_obs, z1_rng)
@@ -371,10 +368,6 @@ def pair_results(
     workers = min(workers, os.cpu_count() or 1, len(pair_specs))
     pool = None
     if workers > 1:
-        if any(spec.family is Family.GEV for spec in specs):
-            # GEV solves need mpmath; loaded once here, every forked worker
-            # starts with it instead of importing it on its first solve.
-            import mpmath  # noqa: F401
         pool = ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory)
     try:
         # One pair per task: pairs of different cells differ up to tenfold
@@ -580,7 +573,7 @@ def load_scenario_config(
     mean_ratio, std_ratio, base_mean, base_std, n_obs, n_pairs, seed and
     optionally skew_ratio / base_skew.  Intervals use ``lo..hi``.  A cell
     that :class:`ScenarioSpec` rejects (a normal cell with a skew input,
-    say) or whose target cannot be solved is a usage error."""
+    or a target that cannot be solved) is a usage error."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -613,7 +606,6 @@ def load_scenario_config(
                     seed_override if seed_override is not None else int(cell["seed"])
                 ),
             )
-            _solve_ratio_ends(spec)
         except KeyError as exc:
             raise UsageError(f"[{section}] missing key {exc.args[0]!r}") from exc
         except (ValueError, ParameterError, configparser.Error) as exc:

@@ -36,7 +36,12 @@ from mvlab.dominance import (
     ssd_test,
     tsd_test,
 )
-from mvlab.simulation import default_scenarios, run_scenario, scenario_config_text
+from mvlab.simulation import (
+    default_scenarios,
+    run_scenario,
+    run_scenarios,
+    scenario_config_text,
+)
 from mvlab.utilities import (
     Expansion,
     UtilityFamily,
@@ -309,10 +314,11 @@ def test_criterion_6_extreme_value_stress_cell():
 
 def test_criterion_7_stable_band_ordering():
     with criterion(7, "stable-Pareto band ordering for log(a=1)"):
-        results = {}
-        for scenario_id in ("stable_tight", "stable_mid", "stable_wide"):
-            report = run_scenario(_scenario(scenario_id), [LOG1])
-            results[scenario_id] = report.success_pct["log:1"]
+        cells = [_scenario(i) for i in ("stable_tight", "stable_mid", "stable_wide")]
+        results = {
+            report.spec.scenario_id: report.success_pct["log:1"]
+            for report in run_scenarios(cells, [LOG1], workers=2)
+        }
         print("    measured:", {k: round(v, 1) for k, v in results.items()})
         assert results["stable_tight"] < results["stable_mid"] < results["stable_wide"]
         assert 45.0 <= results["stable_tight"] <= 85.0

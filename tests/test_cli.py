@@ -791,17 +791,19 @@ def test_mpmath_imported_only_for_gev_moments():
     assert _fresh_interpreter(code).split() == ["False", "True"]
 
 
-def test_pool_with_gev_cells_imports_mpmath_before_forking():
-    # each forked worker imported mpmath on its first GEV solve instead,
-    # 37-47 ms per worker and run
+def test_building_a_gev_cell_imports_mpmath():
+    # a GEV cell solves its targets when it is built, so mpmath and the shape
+    # cache are loaded in the parent and every forked worker inherits both;
+    # a run of normal cells alone never loads mpmath
     code = """
-import dataclasses, os, sys
-os.cpu_count = lambda: 2
-from mvlab.simulation import default_scenarios, pair_results
+import sys
+from mvlab.distributions import Family, MomentTarget, _solve_gev_shape
+from mvlab.simulation import ScenarioSpec, run_scenarios
 from mvlab.utilities import table6_panel
-cells = {s.family.value: dataclasses.replace(s, n_obs=1000, n_pairs=2) for s in default_scenarios()}
-for family in ("normal", "gev"):
-    with pair_results([cells["normal"], cells[family]], table6_panel(), workers=2):
-        print("mpmath" in sys.modules)
+normal = ScenarioSpec("normal", Family.NORMAL, 1.05, 1.05, MomentTarget(0.01, 0.008), 1000, 2, 1)
+list(run_scenarios([normal], table6_panel()))
+print("mpmath" in sys.modules, _solve_gev_shape.cache_info().currsize)
+ScenarioSpec("gev", Family.GEV, 1.05, 1.05, MomentTarget(0.01, 0.16, 0.35), 1000, 2, 1, 1.5)
+print("mpmath" in sys.modules, _solve_gev_shape.cache_info().currsize)
 """
-    assert _fresh_interpreter(code).split() == ["False", "True"]
+    assert _fresh_interpreter(code).split() == ["False", "0", "True", "2"]

@@ -27,6 +27,7 @@ from mvlab.distributions import (
     moments,
     population_moments,
     sample,
+    sample_with_rng,
     solve_params_for_moments,
 )
 from mvlab.rng import spawn_rng
@@ -82,6 +83,23 @@ class TestSampling:
         assert sample(LaplaceParams(0, 1), 17, seed=1).shape == (17,)
         with pytest.raises(ParameterError):
             sample(NormalParams(0, 1), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", np.float64(3.0)])
+    def test_sample_size_must_be_an_integer(self, n):
+        # each of these raised a TypeError, from NumPy or from the size check
+        with pytest.raises(ParameterError, match="sample size must be an integer"):
+            sample(NormalParams(0, 1), n, seed=1)
+        with pytest.raises(ParameterError, match="sample size must be an integer"):
+            sample_with_rng(NormalParams(0, 1), n, spawn_rng(1))
+
+    def test_sample_size_checked_with_a_stream(self):
+        with pytest.raises(ParameterError, match="sample size must be >= 1, got 0"):
+            sample_with_rng(GEVParams(0.0, 1.0, 0.1), 0, spawn_rng(1))
+
+    @pytest.mark.parametrize("n", [np.int32(5), np.int64(5), np.uint8(5)])
+    def test_numpy_integer_sample_size(self, n):
+        p = SkewNormalParams(0.01, 0.08, 2.0)
+        assert sample(p, n, seed=3).tobytes() == sample(p, 5, seed=3).tobytes()
 
     def test_normal_large_sample_moments(self):
         x = sample(NormalParams(0.01, 0.08), 10**6, seed=1)

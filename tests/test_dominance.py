@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mvlab import dominance
 from mvlab.dominance import (
     TOL,
     DiscreteLottery,
@@ -103,6 +104,16 @@ class TestEcdf:
             EmpiricalDistribution(np.array([1.0, 2.0]), np.array([0.7, 0.5]))
         with pytest.raises(ParameterError):
             EmpiricalDistribution(np.array([1.0, 2.0]), np.array([0.5, 0.9]))
+
+    @pytest.mark.parametrize("start", [-0.5, -1e-9, -np.inf])
+    def test_cdf_must_start_at_or_above_zero(self, start):
+        # a negative start left a total mass above 1 and a mean outside the support
+        with pytest.raises(ParameterError, match="cdf must start at or above 0"):
+            EmpiricalDistribution(np.array([1.0, 2.0]), np.array([start, 1.0]))
+
+    def test_cdf_starting_at_zero_within_tol(self):
+        dist = EmpiricalDistribution(np.array([1.0, 2.0]), np.array([-TOL, 1.0]))
+        assert dist.mean() == pytest.approx(2.0)
 
     def test_moments_skip_zero_mass_points(self):
         # the cached mass points are not a field, so equality ignores them
@@ -427,6 +438,33 @@ def test_long_lines_match_row_loop(tmp_path, body):
         except IngestionError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("1,1\n2,1\n", "probabilities sum to 2.0, not 1"),
+     ("1,0.5\n2,-0.5\n3,1\n", "lottery probabilities must be > 0")],
+    ids=["sum", "negative"],
+)
+def test_rejected_block_skips_row_loop(tmp_path, monkeypatch, body, message):
+    # the lottery's error on the parsed block is the answer; parsing the
+    # file again row by row took about four times as long to find it again
+    path = tmp_path / "rejected.csv"
+    path.write_text("value,probability\n" + body)
+    items_read = []
+    real_csv_rows = dominance.csv_rows
+
+    def recording_csv_rows(*args):
+        for item in real_csv_rows(*args):
+            items_read.append(item)
+            yield item
+
+    monkeypatch.setattr(dominance, "csv_rows", recording_csv_rows)
+    with pytest.raises(IngestionError) as info:
+        load_lottery(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert items_read == [["value", "probability"]]  # the header only
+
 
 @st.composite
 def small_lotteries(draw):

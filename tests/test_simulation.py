@@ -2,6 +2,7 @@ import contextlib
 import math
 import types
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from mvlab.distributions import (
     sample_with_rng,
 )
 from mvlab.dominance import satisfies_mv
-from mvlab.errors import DomainError, GenerationError, ParameterError, UsageError
+from mvlab.errors import (
+    DomainError,
+    GenerationError,
+    InfeasibleTargetError,
+    ParameterError,
+    UsageError,
+)
 from mvlab.simulation import (
     _STREAM_PARAMS,
     _STREAM_Z1,
@@ -116,6 +123,31 @@ class TestScenarioSpec:
             _spec(family=family, **skew)
 
     @pytest.mark.parametrize(
+        "cell, error, message",
+        [
+            # the target skewness 3 * 0.5 is past the skew-normal's cap
+            (dict(family=Family.SKEW_NORMAL, skew_ratio=3.0, base=MomentTarget(0.01, 0.008, 0.5)),
+             InfeasibleTargetError, "skew-normal skewness magnitude must be < 0.99527, got 1.5"),
+            # feasible at the interval's lower end, not at its upper one
+            (dict(family=Family.SKEW_NORMAL, skew_ratio=(1.5, 3.0),
+                  base=MomentTarget(0.01, 0.008, 0.5)),
+             InfeasibleTargetError, "skew-normal skewness magnitude must be < 0.99527, got 1.5"),
+            (dict(family=Family.GEV, skew_ratio=1.1, base=MomentTarget(0.01, 0.008, -0.16)),
+             InfeasibleTargetError,
+             "gev target skewness -0.17600000000000002 outside solvable range "
+             "(-0.168103, 428903906.822987) for shape in (-1/3, 1/3)"),
+            (dict(mean_ratio=(1.0, 1e308), base=MomentTarget(2.0, 0.008)),
+             ParameterError, "target mean must be finite, got inf"),
+        ],
+        ids=["skew_normal", "skew_normal_upper_end", "gev", "mean_overflow"],
+    )
+    def test_unsolvable_cell_fails_when_built(self, cell, error, message):
+        # the config loader prints these same messages
+        with pytest.raises(error) as info:
+            _spec(**cell)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "name, value",
         [("master_seed", 5.7), ("master_seed", "5"), ("n_obs", 2000.5), ("n_pairs", 2.5),
          ("master_seed", np.float64(5.0))],
@@ -137,7 +169,7 @@ class TestTargets:
         spec = _spec(family=Family.NORMAL, mean_ratio=1.05, std_ratio=1.05,
                      base=MomentTarget(0.01, 0.08))
         rng = spawn_rng(1)
-        t1, t2 = _solvable_targets(spec, rng)
+        t1, t2 = _solvable_targets(spec, partial(_draw, rng=rng))
         assert t1.mean == pytest.approx(0.0105)
         assert t1.std == pytest.approx(0.08 / 1.05)  # ~0.07619
         assert (t2.mean, t2.std) == (0.01, 0.08)
@@ -145,7 +177,7 @@ class TestTargets:
     def test_skew_anchors_lottery_one(self):
         spec = _spec(family=Family.SKEW_NORMAL, skew_ratio=3.0,
                      base=MomentTarget(0.01, 0.08, 0.2))
-        t1, t2 = _solvable_targets(spec, spawn_rng(1))
+        t1, t2 = _solvable_targets(spec, partial(_draw, rng=spawn_rng(1)))
         assert t1.skewness == pytest.approx(0.2)
         assert t2.skewness == pytest.approx(0.6)
         # both inside the skew-normal feasibility cap
@@ -153,13 +185,13 @@ class TestTargets:
 
     @pytest.mark.parametrize("family", [Family.NORMAL, Family.LAPLACE])
     def test_symmetric_targets_carry_no_skew(self, family):
-        t1, t2 = _solvable_targets(_spec(family=family), spawn_rng(1))
+        t1, t2 = _solvable_targets(_spec(family=family), partial(_draw, rng=spawn_rng(1)))
         assert t1.skewness is None and t2.skewness is None
 
     @pytest.mark.parametrize("family", [Family.SKEW_NORMAL, Family.GEV])
     def test_base_skew_without_ratio_on_both(self, family):
         spec = _spec(family=family, base=MomentTarget(0.01, 0.08, 0.2))
-        t1, t2 = _solvable_targets(spec, spawn_rng(1))
+        t1, t2 = _solvable_targets(spec, partial(_draw, rng=spawn_rng(1)))
         assert t1.skewness == t2.skewness == 0.2
 
     def test_interval_skew_ratio_scales_lottery_two(self):
@@ -167,7 +199,7 @@ class TestTargets:
                      base=MomentTarget(0.01, 0.08, 0.2))
         ratios = set()
         for seed in range(20):
-            t1, t2 = _solvable_targets(spec, spawn_rng(seed))
+            t1, t2 = _solvable_targets(spec, partial(_draw, rng=spawn_rng(seed)))
             assert t1.skewness == 0.2
             assert 1.5 <= t2.skewness / 0.2 <= 3.0
             ratios.add(t2.skewness)
